@@ -325,11 +325,12 @@ func BenchmarkMeridianQuery(b *testing.B) {
 }
 
 // BenchmarkGatewayClosestNode measures one severity-penalized
-// selection through the sharded query plane: a tivshard gateway over
-// a 3-shard loopback cluster (real tivd servers over TCP), so each op
-// pays three concurrent HTTP round trips plus the k-way merge. Its
-// ratio against BenchmarkServiceClosestNode is the wire+scatter tax
-// of distributing the query plane.
+// selection through the sharded query plane: a one-element closest
+// batch on a tivshard gateway over a 3-shard loopback cluster (real
+// tivd servers over TCP), so each op pays three concurrent HTTP round
+// trips plus the k-way merge. Its ratio against
+// BenchmarkServiceClosestNode is the wire+scatter tax of distributing
+// the query plane.
 func BenchmarkGatewayClosestNode(b *testing.B) {
 	c, err := testcluster.Start(testcluster.Config{N: 200, Shards: 3})
 	if err != nil {
@@ -338,14 +339,21 @@ func BenchmarkGatewayClosestNode(b *testing.B) {
 	defer c.Close()
 	ctx := context.Background()
 	n := c.Matrix.N()
-	opts := tivaware.QueryOptions{SeverityPenalty: 2}
-	if _, err := c.Gateway.ClosestNode(ctx, 0, opts); err != nil { // warm every shard's epoch
+	closest := func(target int) error {
+		res, err := c.Gateway.QueryBatch(ctx, []tivaware.Query{
+			{Kind: tivaware.KindClosest, Target: target, SeverityPenalty: 2}})
+		if err != nil {
+			return err
+		}
+		return res[0].Err
+	}
+	if err := closest(0); err != nil { // warm every shard's epoch
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.Gateway.ClosestNode(ctx, i%n, opts); err != nil {
+		if err := closest(i % n); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -75,12 +75,12 @@ func TestDaemonEndToEnd(t *testing.T) {
 		t.Fatalf("healthz = %+v, want 32 live nodes", h)
 	}
 
-	best, err := client.ClosestNode(ctx, 0, tivaware.QueryOptions{SeverityPenalty: 2})
+	res, err := client.Query(ctx, tivaware.Query{Kind: tivaware.KindClosest, SeverityPenalty: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if best.Node == 0 || best.Delay <= 0 {
-		t.Fatalf("ClosestNode = %+v", best)
+	if best := res.Selections[0]; best.Node == 0 || best.Delay <= 0 {
+		t.Fatalf("closest = %+v", best)
 	}
 
 	// SSE round-trip: subscribe, force a violation through the wire,
@@ -183,12 +183,12 @@ func TestGatewayDaemonEndToEnd(t *testing.T) {
 		t.Fatalf("gateway healthz = %+v, want 24 live nodes", h)
 	}
 
-	best, err := client.ClosestNode(ctx, 0, tivaware.QueryOptions{SeverityPenalty: 2})
+	res, err := client.Query(ctx, tivaware.Query{Kind: tivaware.KindClosest, SeverityPenalty: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if best.Node == 0 || best.Delay <= 0 {
-		t.Fatalf("gateway ClosestNode = %+v", best)
+	if best := res.Selections[0]; best.Node == 0 || best.Delay <= 0 {
+		t.Fatalf("gateway closest = %+v", best)
 	}
 
 	// Subscribe through the gateway, update through the gateway: the
@@ -229,11 +229,11 @@ func TestGatewayDaemonEndToEnd(t *testing.T) {
 
 	// The update must have reached every shard replica.
 	for s, u := range shardURLs {
-		d, ok, err := tivclient.New(u, tivclient.Options{}).Delay(ctx, 0, 1)
+		res, err := tivclient.New(u, tivclient.Options{}).Query(ctx, tivaware.Query{Kind: tivaware.KindDelay, I: 0, J: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !ok || d != 1e6 {
+		if d, ok := res.Delay, res.DelayOK; !ok || d != 1e6 {
 			t.Errorf("shard %d delay(0,1) = (%g,%v), want the replicated 1e6", s, d, ok)
 		}
 	}

@@ -628,7 +628,9 @@ func issueOne(ctx context.Context, client *tivclient.Client, ls loadSpec, rc run
 	if kind == "update" {
 		return 1, issueUpdate(ctx, client, ls, rng)
 	}
-	return 1, issueSingle(ctx, client, buildQuery(kind, ls, rng))
+	// Single-shot: the kind's GET endpoint, or a framed batch of one.
+	_, err := client.Query(ctx, buildQuery(kind, ls, rng))
+	return 1, err
 }
 
 func issueUpdate(ctx context.Context, client *tivclient.Client, ls loadSpec, rng *rand.Rand) error {
@@ -653,32 +655,6 @@ func buildQuery(kind string, ls loadSpec, rng *rand.Rand) tivaware.Query {
 		return tivaware.Query{Kind: tivaware.KindDelay, I: i, J: j}
 	default: // analysis
 		return tivaware.Query{Kind: tivaware.KindAnalysis}
-	}
-}
-
-// issueSingle dispatches one query through the per-endpoint client
-// surface (the pre-batch API), so single-shot runs measure exactly
-// what existing clients pay today.
-func issueSingle(ctx context.Context, client *tivclient.Client, q tivaware.Query) error {
-	switch q.Kind {
-	case tivaware.KindRank:
-		_, err := client.KClosest(ctx, q.Target, q.K, tivaware.QueryOptions{})
-		return err
-	case tivaware.KindClosest:
-		_, err := client.ClosestNode(ctx, q.Target, tivaware.QueryOptions{})
-		return err
-	case tivaware.KindDetour:
-		_, err := client.DetourPath(ctx, q.I, q.J)
-		return err
-	case tivaware.KindTop:
-		_, err := client.TopEdges(ctx, q.K)
-		return err
-	case tivaware.KindDelay:
-		_, _, err := client.Delay(ctx, q.I, q.J)
-		return err
-	default:
-		_, err := client.Analysis(ctx)
-		return err
 	}
 }
 

@@ -216,14 +216,15 @@ type remoteReporter struct {
 }
 
 func (r remoteReporter) fraction() (float64, error) {
-	an, err := r.client.Analysis(r.ctx)
+	res, err := r.client.Query(r.ctx, tivaware.Query{Kind: tivaware.KindAnalysis})
 	if err != nil {
 		return 0, err
 	}
-	return an.ViolatingTriangleFraction, nil
+	return res.Analysis.ViolatingTriangleFraction(), nil
 }
 func (r remoteReporter) topEdges(k int) ([]delayspace.Edge, error) {
-	return r.client.TopEdges(r.ctx, k)
+	res, err := r.client.Query(r.ctx, tivaware.Query{Kind: tivaware.KindTop, K: k})
+	return res.Edges, err
 }
 
 // runWatch keeps re-measuring the mesh and streams each round of live

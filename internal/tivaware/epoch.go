@@ -243,50 +243,3 @@ func (v *View) Analysis() (tiv.Analysis, error) {
 // triangle fraction; 0 in sampled mode (use the Service method for
 // bounded estimates).
 func (v *View) ViolatingTriangleFraction() float64 { return v.e.fraction() }
-
-// TopEdges returns the k edges with the highest severity in this
-// view, most severe first.
-func (v *View) TopEdges(k int) []delayspace.Edge { return v.e.sev.TopEdges(k) }
-
-// TopEdgesMod returns the k highest-severity edges owned by the
-// residue class (mod, rem): edges (i, j), i < j, with i % mod == rem
-// (mod 0 means every edge). The classes partition the edge set, so a
-// sharded gateway merges the per-class results into the exact global
-// ranking. An invalid residue class errors (matching Rank and
-// DetourPathMod — and the gateway, so the wire behaves the same on a
-// monolithic daemon and a cluster).
-func (v *View) TopEdgesMod(k, mod, rem int) ([]delayspace.Edge, error) {
-	if err := checkResidue(mod, rem); err != nil {
-		return nil, err
-	}
-	return v.e.sev.TopEdgesMod(k, mod, rem), nil
-}
-
-// Rank scores candidates against this view; see Service.Rank.
-func (v *View) Rank(ctx context.Context, target int, candidates []int, opts QueryOptions) ([]Selection, error) {
-	return rankEpoch(ctx, v.e, target, candidates, opts)
-}
-
-// KClosest returns the k best-ranked candidates in this view; see
-// Service.KClosest.
-func (v *View) KClosest(ctx context.Context, target, k int, opts QueryOptions) ([]Selection, error) {
-	return kClosestEpoch(ctx, v.e, target, k, opts)
-}
-
-// ClosestNode returns the best-ranked candidate in this view; see
-// Service.ClosestNode.
-func (v *View) ClosestNode(ctx context.Context, target int, opts QueryOptions) (Selection, error) {
-	return closestNodeEpoch(ctx, v.e, target, opts)
-}
-
-// DetourPath finds the best one-hop detour in this view; see
-// Service.DetourPath.
-func (v *View) DetourPath(ctx context.Context, i, j int) (Detour, error) {
-	return detourEpoch(ctx, v.e, i, j, 0, 0)
-}
-
-// DetourPathMod restricts the relay scan to the residue class
-// (mod, rem); see Service.DetourPathMod.
-func (v *View) DetourPathMod(ctx context.Context, i, j, mod, rem int) (Detour, error) {
-	return detourEpoch(ctx, v.e, i, j, mod, rem)
-}

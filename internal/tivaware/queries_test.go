@@ -334,10 +334,7 @@ func TestPreCancelledContext(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := v.Rank(ctx, 0, nil, QueryOptions{}); err == nil {
-		t.Error("View.Rank ignored a pre-cancelled context")
-	}
-	if _, err := v.DetourPath(ctx, 0, 1); err == nil {
-		t.Error("View.DetourPath ignored a pre-cancelled context")
+	if _, err := v.QueryBatch(ctx, []Query{{Kind: KindRank}}); err == nil {
+		t.Error("View.QueryBatch ignored a pre-cancelled context")
 	}
 }

@@ -8,12 +8,21 @@ import (
 	"tivaware/internal/synth"
 )
 
-// The residue-class restrictions (QueryOptions.Mod/Rem, DetourPathMod,
-// TopEdgesMod) are the scatter primitives of the sharded query plane:
+// The residue-class restrictions (the Scatter field of rank, closest,
+// detour and top queries) are the scatter primitives of the sharded query plane:
 // their defining property is that the classes of a fixed modulus
 // partition the unrestricted result. These tests pin that partition
 // lemma in-process; internal/tivshard's differential suite re-proves
 // it through real shard servers.
+
+// queryOne answers one query through q's batch path.
+func queryOne(ctx context.Context, q Querier, query Query) Result {
+	res, err := q.QueryBatch(ctx, []Query{query})
+	if err != nil {
+		return Result{Kind: query.Kind, Err: err}
+	}
+	return res[0]
+}
 
 func residueService(t *testing.T) *Service {
 	t.Helper()
@@ -38,7 +47,7 @@ func TestRankResiduePartition(t *testing.T) {
 	const mod = 3
 	var union []Selection
 	for rem := 0; rem < mod; rem++ {
-		part, err := svc.Rank(ctx, 3, nil, QueryOptions{SeverityPenalty: 2, Mod: mod, Rem: rem})
+		part, err := svc.Rank(ctx, 3, nil, QueryOptions{SeverityPenalty: 2, Scatter: Scatter{Mod: mod, Rem: rem}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -68,17 +77,18 @@ func TestRankResiduePartition(t *testing.T) {
 func TestRankResidueValidation(t *testing.T) {
 	svc := residueService(t)
 	ctx := context.Background()
-	if _, err := svc.Rank(ctx, 0, nil, QueryOptions{Mod: -1}); err == nil {
+	if _, err := svc.Rank(ctx, 0, nil, QueryOptions{Scatter: Scatter{Mod: -1}}); err == nil {
 		t.Error("negative Mod should error")
 	}
-	if _, err := svc.Rank(ctx, 0, nil, QueryOptions{Mod: 3, Rem: 3}); err == nil {
+	if _, err := svc.Rank(ctx, 0, nil, QueryOptions{Scatter: Scatter{Mod: 3, Rem: 3}}); err == nil {
 		t.Error("Rem >= Mod should error")
 	}
-	if _, err := svc.Rank(ctx, 0, nil, QueryOptions{Mod: 3, Rem: -1}); err == nil {
+	if _, err := svc.Rank(ctx, 0, nil, QueryOptions{Scatter: Scatter{Mod: 3, Rem: -1}}); err == nil {
 		t.Error("negative Rem should error")
 	}
-	if _, err := svc.DetourPathMod(ctx, 0, 1, 2, 5); err == nil {
-		t.Error("DetourPathMod residue outside [0,Mod) should error")
+	detour := Query{Kind: KindDetour, I: 0, J: 1, Scatter: Scatter{Mod: 2, Rem: 5}}
+	if queryOne(ctx, svc, detour).Err == nil {
+		t.Error("detour residue outside [0,Mod) should error")
 	}
 }
 
@@ -95,10 +105,12 @@ func TestDetourResidueReduce(t *testing.T) {
 		// via delay wins, ties to the lowest relay id.
 		best := Detour{I: pair[0], J: pair[1], Via: -1, Direct: full.Direct}
 		for rem := 0; rem < mod; rem++ {
-			part, err := svc.DetourPathMod(ctx, pair[0], pair[1], mod, rem)
-			if err != nil {
-				t.Fatal(err)
+			res := queryOne(ctx, svc, Query{Kind: KindDetour, I: pair[0], J: pair[1],
+				Scatter: Scatter{Mod: mod, Rem: rem}})
+			if res.Err != nil {
+				t.Fatal(res.Err)
 			}
+			part := res.Detour
 			if part.Via < 0 {
 				continue
 			}
@@ -115,25 +127,22 @@ func TestDetourResidueReduce(t *testing.T) {
 
 func TestTopEdgesResiduePartition(t *testing.T) {
 	svc := residueService(t)
-	v, err := svc.View(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	ctx := context.Background()
 	const k, mod = 25, 3
-	full := v.TopEdges(k)
+	full := svc.TopEdges(k)
 	var union []struct {
 		i, j int
 		sev  float64
 	}
-	if _, err := v.TopEdgesMod(k, 3, 5); err == nil {
-		t.Error("TopEdgesMod with Rem >= Mod should error")
+	if queryOne(ctx, svc, Query{Kind: KindTop, K: k, Scatter: Scatter{Mod: 3, Rem: 5}}).Err == nil {
+		t.Error("top with Rem >= Mod should error")
 	}
 	for rem := 0; rem < mod; rem++ {
-		part, err := v.TopEdgesMod(k, mod, rem)
-		if err != nil {
-			t.Fatal(err)
+		res := queryOne(ctx, svc, Query{Kind: KindTop, K: k, Scatter: Scatter{Mod: mod, Rem: rem}})
+		if res.Err != nil {
+			t.Fatal(res.Err)
 		}
-		for _, e := range part {
+		for _, e := range res.Edges {
 			if e.I%mod != rem {
 				t.Fatalf("class (%d,%d) returned edge (%d,%d)", mod, rem, e.I, e.J)
 			}

@@ -6,10 +6,12 @@
 //
 // Client satisfies tivaware.Querier, so consumers written against the
 // interface (examples/serverselection, overlay builders) switch
-// between in-process and networked TIV state by swapping one value:
+// between in-process and networked TIV state by swapping one value.
+// Query answers one typed query single-shot:
 //
-//	q := tivclient.New("http://tivd-host:7070", tivclient.Options{})
-//	best, err := q.ClosestNode(ctx, target, tivaware.QueryOptions{SeverityPenalty: 2})
+//	c := tivclient.New("http://tivd-host:7070", tivclient.Options{})
+//	res, err := c.Query(ctx, tivaware.Query{Kind: tivaware.KindClosest, Target: target, SeverityPenalty: 2})
+//	best := res.Selections[0]
 //
 // A Client is safe for concurrent use; it holds no state beyond the
 // base URL and the underlying *http.Client.
@@ -31,7 +33,6 @@ import (
 	"sync"
 	"time"
 
-	"tivaware/internal/delayspace"
 	"tivaware/internal/tivaware"
 	"tivaware/internal/tivframe"
 	"tivaware/internal/tivwire"
@@ -46,7 +47,7 @@ var (
 	// ErrSubscribeOverflow: the daemon disconnected this subscriber
 	// because it fell further behind than the event buffer
 	// (tivd.Options.SubscribeBuffer). Deltas were dropped, so the
-	// caller's violated-edge picture is torn; resync it (TopEdges)
+	// caller's violated-edge picture is torn; resync it (a top query)
 	// before resubscribing, and note that change sets applied between
 	// the disconnect and the new subscription's handshake are lost.
 	ErrSubscribeOverflow = errors.New("subscription fell behind the daemon's event buffer")
@@ -321,219 +322,132 @@ func (c *Client) Healthz(ctx context.Context) (tivwire.Health, error) {
 	return h, err
 }
 
-// selectionParams encodes the shared selection parameters.
-func selectionParams(candidates []int, opts tivaware.QueryOptions) url.Values {
-	params := url.Values{}
-	if opts.SeverityPenalty != 0 {
-		params.Set("penalty", strconv.FormatFloat(opts.SeverityPenalty, 'g', -1, 64))
+// queryPaths maps each query kind to the GET endpoint that answers it
+// single-shot.
+var queryPaths = map[tivaware.QueryKind]string{
+	tivaware.KindRank:     "/v1/rank",
+	tivaware.KindClosest:  "/v1/closest",
+	tivaware.KindDetour:   "/v1/detour",
+	tivaware.KindTop:      "/v1/top",
+	tivaware.KindDelay:    "/v1/delay",
+	tivaware.KindAnalysis: "/v1/analysis",
+}
+
+// Query answers one typed query single-shot: over HTTP it issues the
+// kind's GET endpoint, over the framed transport a batch of one. A
+// failure of the query itself — bad parameters, no eligible candidate —
+// is returned as the error (a typed *Error), never in Result.Err. A
+// rank with K 0 returns the daemon's whole ranking up to its cap
+// (tivd -maxk), with Result.Truncated set when the cap cut it.
+//
+// An explicitly empty candidate list ([]int{}) is answered locally:
+// the GET parameters cannot express it (the daemon reads an absent
+// list as every node), so the client reproduces the Service's
+// empty-set semantics — nothing to rank, no closest node.
+func (c *Client) Query(ctx context.Context, q tivaware.Query) (tivaware.Result, error) {
+	path, ok := queryPaths[q.Kind]
+	if !ok {
+		return tivaware.Result{}, &Error{Code: tivwire.CodeBadRequest,
+			Message: fmt.Sprintf("%v: %q", tivaware.ErrUnsupportedQuery, q.Kind)}
 	}
-	if opts.ExcludeViolated {
-		params.Set("exclude", "true")
-	}
-	if sc := opts.Residue(); sc.Mod != 0 {
-		params.Set("mod", strconv.Itoa(sc.Mod))
-		params.Set("rem", strconv.Itoa(sc.Rem))
-	}
-	if candidates == nil {
-		candidates = opts.Candidates
-	}
-	if candidates != nil {
-		fields := make([]string, len(candidates))
-		for k, cand := range candidates {
-			fields[k] = strconv.Itoa(cand)
+	if q.Candidates != nil && len(q.Candidates) == 0 {
+		switch q.Kind {
+		case tivaware.KindRank:
+			return tivaware.Result{Kind: q.Kind}, nil
+		case tivaware.KindClosest:
+			return tivaware.Result{}, &Error{Code: tivwire.CodeBadRequest,
+				Message: fmt.Sprintf("no eligible candidate for node %d", q.Target)}
 		}
-		params.Set("candidates", strings.Join(fields, ","))
+	}
+	op := "GET " + path
+	var wr tivwire.Result
+	var err error
+	if c.frames != nil {
+		op = "FRAME " + string(q.Kind)
+		wr, err = c.frameQuery(ctx, op, q)
+	} else {
+		wr, err = c.getQuery(ctx, path, q)
+	}
+	if err != nil {
+		return tivaware.Result{}, err
+	}
+	res, err := wr.ToResult(func(we tivwire.Error) error {
+		return &Error{Op: op, Code: we.Code, Message: we.Error, RetryAfter: retryAfter(we.RetryAfter)}
+	})
+	switch {
+	case err != nil:
+		return tivaware.Result{}, &Error{Op: op, Code: CodeBadPayload, Message: err.Error(), cause: err}
+	case res.Err != nil:
+		return tivaware.Result{}, res.Err
+	case q.Kind == tivaware.KindClosest && len(res.Selections) == 0:
+		return tivaware.Result{}, &Error{Op: op, Code: CodeBadPayload, Message: "empty closest response"}
+	}
+	return res, nil
+}
+
+// getQuery issues q's GET endpoint and decodes the kind's response
+// body into the wire result that carries it.
+func (c *Client) getQuery(ctx context.Context, path string, q tivaware.Query) (tivwire.Result, error) {
+	wr := tivwire.Result{Kind: string(q.Kind)}
+	var out any
+	switch q.Kind {
+	case tivaware.KindRank, tivaware.KindClosest:
+		wr.Rank = new(tivwire.RankResponse)
+		out = wr.Rank
+	case tivaware.KindDetour:
+		wr.Detour = new(tivwire.DetourResponse)
+		out = wr.Detour
+	case tivaware.KindTop:
+		wr.Top = new(tivwire.TopResponse)
+		out = wr.Top
+	case tivaware.KindDelay:
+		wr.Delay = new(tivwire.DelayResponse)
+		out = wr.Delay
+	case tivaware.KindAnalysis:
+		wr.Analysis = new(tivwire.AnalysisResponse)
+		out = wr.Analysis
+	}
+	return wr, c.get(ctx, path, queryParams(q), out)
+}
+
+// queryParams encodes a query as its GET endpoint's parameters. Zero
+// fields are left out, so the daemon applies the defaults a batch
+// query gets and both paths share one cache key.
+func queryParams(q tivaware.Query) url.Values {
+	params := url.Values{}
+	setInt := func(name string, v int) { params.Set(name, strconv.Itoa(v)) }
+	switch q.Kind {
+	case tivaware.KindRank, tivaware.KindClosest:
+		setInt("target", q.Target)
+		if q.Kind == tivaware.KindRank && q.K != 0 {
+			setInt("k", q.K)
+		}
+		if q.SeverityPenalty != 0 {
+			params.Set("penalty", strconv.FormatFloat(q.SeverityPenalty, 'g', -1, 64))
+		}
+		if q.ExcludeViolated {
+			params.Set("exclude", "true")
+		}
+		if q.Candidates != nil {
+			fields := make([]string, len(q.Candidates))
+			for k, cand := range q.Candidates {
+				fields[k] = strconv.Itoa(cand)
+			}
+			params.Set("candidates", strings.Join(fields, ","))
+		}
+	case tivaware.KindDetour, tivaware.KindDelay:
+		setInt("i", q.I)
+		setInt("j", q.J)
+	case tivaware.KindTop:
+		if q.K != 0 {
+			setInt("k", q.K)
+		}
+	}
+	if q.Kind != tivaware.KindDelay && q.Scatter.Mod != 0 {
+		setInt("mod", q.Scatter.Mod)
+		setInt("rem", q.Scatter.Rem)
 	}
 	return params
-}
-
-// emptyCandidates reports an explicitly empty candidate set. The wire
-// cannot distinguish "no candidates parameter" from "an empty one"
-// (the daemon treats an absent parameter as all nodes), so the client
-// reproduces the Service's empty-set semantics locally: nothing to
-// rank.
-func emptyCandidates(candidates []int, opts tivaware.QueryOptions) bool {
-	if candidates == nil {
-		candidates = opts.Candidates
-	}
-	return candidates != nil && len(candidates) == 0
-}
-
-// Rank scores the candidates for the target, best first; it mirrors
-// tivaware.Service.Rank over the wire. It errors when the daemon
-// truncated the ranking at its configured cap (4096 selections by
-// default; raise tivd -maxk, or use KClosest for a bounded prefix).
-func (c *Client) Rank(ctx context.Context, target int, candidates []int, opts tivaware.QueryOptions) ([]tivaware.Selection, error) {
-	if emptyCandidates(candidates, opts) {
-		return nil, nil
-	}
-	var resp tivwire.RankResponse
-	if c.frames != nil {
-		var err error
-		resp, err = c.frameRank(ctx, "FRAME rank", selectionQuery(tivaware.KindRank, target, 0, candidates, opts))
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		params := selectionParams(candidates, opts)
-		params.Set("target", strconv.Itoa(target))
-		if err := c.get(ctx, "/v1/rank", params, &resp); err != nil {
-			return nil, err
-		}
-	}
-	if resp.Truncated {
-		return nil, &Error{Code: tivwire.CodeBadRequest,
-			Message: fmt.Sprintf("ranking for node %d truncated at %d selections by the daemon's cap; raise tivd -maxk or use KClosest", target, len(resp.Selections))}
-	}
-	out := make([]tivaware.Selection, len(resp.Selections))
-	for k, sel := range resp.Selections {
-		out[k] = sel.ToSelection()
-	}
-	return out, nil
-}
-
-// KClosest returns the k best-ranked candidates for the target.
-func (c *Client) KClosest(ctx context.Context, target, k int, opts tivaware.QueryOptions) ([]tivaware.Selection, error) {
-	if k <= 0 {
-		return nil, &Error{Code: tivwire.CodeBadRequest, Message: fmt.Sprintf("KClosest k = %d, want > 0", k)}
-	}
-	if emptyCandidates(nil, opts) {
-		return nil, nil
-	}
-	var resp tivwire.RankResponse
-	if c.frames != nil {
-		var err error
-		resp, err = c.frameRank(ctx, "FRAME rank", selectionQuery(tivaware.KindRank, target, k, nil, opts))
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		params := selectionParams(nil, opts)
-		params.Set("target", strconv.Itoa(target))
-		params.Set("k", strconv.Itoa(k))
-		if err := c.get(ctx, "/v1/rank", params, &resp); err != nil {
-			return nil, err
-		}
-	}
-	out := make([]tivaware.Selection, len(resp.Selections))
-	for i, sel := range resp.Selections {
-		out[i] = sel.ToSelection()
-	}
-	return out, nil
-}
-
-// ClosestNode returns the best-ranked candidate for the target.
-func (c *Client) ClosestNode(ctx context.Context, target int, opts tivaware.QueryOptions) (tivaware.Selection, error) {
-	if emptyCandidates(nil, opts) {
-		return tivaware.Selection{}, &Error{Code: tivwire.CodeBadRequest,
-			Message: fmt.Sprintf("no eligible candidate for node %d", target)}
-	}
-	var resp tivwire.RankResponse
-	if c.frames != nil {
-		var err error
-		resp, err = c.frameRank(ctx, "FRAME closest", selectionQuery(tivaware.KindClosest, target, 0, nil, opts))
-		if err != nil {
-			return tivaware.Selection{}, err
-		}
-	} else {
-		params := selectionParams(nil, opts)
-		params.Set("target", strconv.Itoa(target))
-		if err := c.get(ctx, "/v1/closest", params, &resp); err != nil {
-			return tivaware.Selection{}, err
-		}
-	}
-	if len(resp.Selections) == 0 {
-		return tivaware.Selection{}, &Error{Code: CodeBadPayload, Message: "empty closest response"}
-	}
-	return resp.Selections[0].ToSelection(), nil
-}
-
-// DetourPath finds the best one-hop detour for the pair (i, j).
-func (c *Client) DetourPath(ctx context.Context, i, j int) (tivaware.Detour, error) {
-	return c.DetourPathMod(ctx, i, j, 0, 0)
-}
-
-// DetourPathMod restricts the relay scan to the residue class
-// (mod, rem); see tivaware.Service.DetourPathMod. Sharded gateways
-// scatter the relay scan across shards with it.
-func (c *Client) DetourPathMod(ctx context.Context, i, j, mod, rem int) (tivaware.Detour, error) {
-	var resp tivwire.DetourResponse
-	if c.frames != nil {
-		q := tivaware.Query{Kind: tivaware.KindDetour, I: i, J: j,
-			Scatter: tivaware.Scatter{Mod: mod, Rem: rem}}
-		var err error
-		resp, err = c.frameDetour(ctx, "FRAME detour", q)
-		if err != nil {
-			return tivaware.Detour{}, err
-		}
-		return resp.Detour.ToDetour(), nil
-	}
-	params := url.Values{}
-	params.Set("i", strconv.Itoa(i))
-	params.Set("j", strconv.Itoa(j))
-	if mod != 0 {
-		params.Set("mod", strconv.Itoa(mod))
-		params.Set("rem", strconv.Itoa(rem))
-	}
-	if err := c.get(ctx, "/v1/detour", params, &resp); err != nil {
-		return tivaware.Detour{}, err
-	}
-	return resp.Detour.ToDetour(), nil
-}
-
-// TopEdges returns the k edges with the highest current severity,
-// most severe first (severity in the Delay field, matching
-// tivaware.Service.TopEdges).
-func (c *Client) TopEdges(ctx context.Context, k int) ([]delayspace.Edge, error) {
-	return c.TopEdgesMod(ctx, k, 0, 0)
-}
-
-// TopEdgesMod returns the k worst edges owned by the residue class
-// (mod, rem) — edges (i, j), i < j, with i % mod == rem; see
-// tivaware.View.TopEdgesMod.
-func (c *Client) TopEdgesMod(ctx context.Context, k, mod, rem int) ([]delayspace.Edge, error) {
-	var resp tivwire.TopResponse
-	if c.frames != nil {
-		q := tivaware.Query{Kind: tivaware.KindTop, K: k,
-			Scatter: tivaware.Scatter{Mod: mod, Rem: rem}}
-		var err error
-		resp, err = c.frameTop(ctx, "FRAME top", q)
-		if err != nil {
-			return nil, err
-		}
-		return tivwire.ToEdges(resp.Edges), nil
-	}
-	params := url.Values{}
-	params.Set("k", strconv.Itoa(k))
-	if mod != 0 {
-		params.Set("mod", strconv.Itoa(mod))
-		params.Set("rem", strconv.Itoa(rem))
-	}
-	if err := c.get(ctx, "/v1/top", params, &resp); err != nil {
-		return nil, err
-	}
-	return tivwire.ToEdges(resp.Edges), nil
-}
-
-// Delay returns the daemon's delay estimate for (i, j) and whether
-// one exists.
-func (c *Client) Delay(ctx context.Context, i, j int) (float64, bool, error) {
-	var resp tivwire.DelayResponse
-	if c.frames != nil {
-		var err error
-		resp, err = c.frameDelay(ctx, "FRAME delay", tivaware.Query{Kind: tivaware.KindDelay, I: i, J: j})
-		if err != nil {
-			return 0, false, err
-		}
-		return resp.Delay, resp.OK, nil
-	}
-	params := url.Values{}
-	params.Set("i", strconv.Itoa(i))
-	params.Set("j", strconv.Itoa(j))
-	if err := c.get(ctx, "/v1/delay", params, &resp); err != nil {
-		return 0, false, err
-	}
-	return resp.Delay, resp.OK, nil
 }
 
 // QueryBatch answers a vector of heterogeneous typed queries in one
@@ -576,16 +490,6 @@ func (c *Client) QueryBatch(ctx context.Context, queries []tivaware.Query) ([]ti
 	return out, nil
 }
 
-// Analysis returns the daemon's aggregate triangle statistics.
-func (c *Client) Analysis(ctx context.Context) (tivwire.AnalysisResponse, error) {
-	if c.frames != nil {
-		return c.frameAnalysis(ctx, "FRAME analysis")
-	}
-	var resp tivwire.AnalysisResponse
-	err := c.get(ctx, "/v1/analysis", nil, &resp)
-	return resp, err
-}
-
 // ApplyUpdate streams one edge measurement into a live daemon and
 // returns how the violated-edge set moved.
 func (c *Client) ApplyUpdate(ctx context.Context, i, j int, rtt float64) (tivwire.ChangeSet, error) {
@@ -616,7 +520,7 @@ func (c *Client) ApplyBatch(ctx context.Context, updates []tivwire.Update) (tivw
 //
 //   - errors.Is(err, ErrSubscribeOverflow): the daemon dropped this
 //     subscriber for falling behind. Deltas are missing; resync the
-//     violated-edge picture (TopEdges), then resubscribe.
+//     violated-edge picture (a top query), then resubscribe.
 //   - errors.Is(err, ErrSubscribeClosed): the daemon ended the stream
 //     (shutdown or Server.Close). Resubscribe when it returns, resync
 //     first unless interim updates can be ruled out.
@@ -799,7 +703,7 @@ type AutoSubscribeOptions struct {
 // version it delivered. Equality proves the violated-edge picture
 // survived the gap intact; anything else — including a hello-less
 // older daemon — makes fn receive a synthetic ChangeSet{Rescan: true}
-// marker first, telling the consumer to rebuild its picture (TopEdges)
+// marker first, telling the consumer to rebuild its picture (a top query)
 // before trusting subsequent deltas. The first attach never emits a
 // marker.
 func (c *Client) AutoSubscribe(ctx context.Context, opts AutoSubscribeOptions, fn func(tivwire.ChangeSet)) error {

@@ -48,108 +48,16 @@ func (c *Client) frameCall(ctx context.Context, op string, req, resp any) error 
 }
 
 // frameQuery answers one single-shot query as a framed batch of one
-// and returns the aligned result; a per-query error envelope comes
-// back as a typed *Error.
-func (c *Client) frameQuery(ctx context.Context, op string, q tivaware.Query) (*tivwire.Result, error) {
+// and returns the aligned result.
+func (c *Client) frameQuery(ctx context.Context, op string, q tivaware.Query) (tivwire.Result, error) {
 	var resp tivwire.BatchResponse
 	req := tivwire.BatchRequest{Queries: tivwire.FromQueries([]tivaware.Query{q})}
 	if err := c.frameCall(ctx, op, &req, &resp); err != nil {
-		return nil, err
+		return tivwire.Result{}, err
 	}
 	if len(resp.Results) != 1 {
-		return nil, &Error{Op: op, Code: CodeBadPayload,
+		return tivwire.Result{}, &Error{Op: op, Code: CodeBadPayload,
 			Message: fmt.Sprintf("daemon answered %d results for 1 query", len(resp.Results))}
 	}
-	r := &resp.Results[0]
-	if r.Err != nil {
-		return nil, &Error{Op: op, Code: r.Err.Code, Message: r.Err.Error,
-			RetryAfter: retryAfter(r.Err.RetryAfter)}
-	}
-	return r, nil
-}
-
-// frameRank runs a rank-shaped query (rank, closest) and unwraps its
-// payload.
-func (c *Client) frameRank(ctx context.Context, op string, q tivaware.Query) (tivwire.RankResponse, error) {
-	r, err := c.frameQuery(ctx, op, q)
-	if err != nil {
-		return tivwire.RankResponse{}, err
-	}
-	if r.Rank == nil {
-		return tivwire.RankResponse{}, missingPayload(op, "rank", r)
-	}
-	return *r.Rank, nil
-}
-
-// frameDetour runs a detour query and unwraps its payload.
-func (c *Client) frameDetour(ctx context.Context, op string, q tivaware.Query) (tivwire.DetourResponse, error) {
-	r, err := c.frameQuery(ctx, op, q)
-	if err != nil {
-		return tivwire.DetourResponse{}, err
-	}
-	if r.Detour == nil {
-		return tivwire.DetourResponse{}, missingPayload(op, "detour", r)
-	}
-	return *r.Detour, nil
-}
-
-// frameTop runs a top-edges query and unwraps its payload.
-func (c *Client) frameTop(ctx context.Context, op string, q tivaware.Query) (tivwire.TopResponse, error) {
-	r, err := c.frameQuery(ctx, op, q)
-	if err != nil {
-		return tivwire.TopResponse{}, err
-	}
-	if r.Top == nil {
-		return tivwire.TopResponse{}, missingPayload(op, "top", r)
-	}
-	return *r.Top, nil
-}
-
-// frameDelay runs a delay query and unwraps its payload.
-func (c *Client) frameDelay(ctx context.Context, op string, q tivaware.Query) (tivwire.DelayResponse, error) {
-	r, err := c.frameQuery(ctx, op, q)
-	if err != nil {
-		return tivwire.DelayResponse{}, err
-	}
-	if r.Delay == nil {
-		return tivwire.DelayResponse{}, missingPayload(op, "delay", r)
-	}
-	return *r.Delay, nil
-}
-
-// frameAnalysis runs an analysis query and unwraps its payload.
-func (c *Client) frameAnalysis(ctx context.Context, op string) (tivwire.AnalysisResponse, error) {
-	r, err := c.frameQuery(ctx, op, tivaware.Query{Kind: tivaware.KindAnalysis})
-	if err != nil {
-		return tivwire.AnalysisResponse{}, err
-	}
-	if r.Analysis == nil {
-		return tivwire.AnalysisResponse{}, missingPayload(op, "analysis", r)
-	}
-	return *r.Analysis, nil
-}
-
-// missingPayload reports a result that decoded but carries neither the
-// expected payload nor an error envelope.
-func missingPayload(op, want string, r *tivwire.Result) error {
-	return &Error{Op: op, Code: CodeBadPayload,
-		Message: fmt.Sprintf("missing %s payload in %q result", want, r.Kind)}
-}
-
-// selectionQuery mirrors selectionParams for the framed path: the same
-// effective query the GET parameters would have encoded, so both
-// transports produce the same canonical cache key daemon-side.
-func selectionQuery(kind tivaware.QueryKind, target, k int, candidates []int, opts tivaware.QueryOptions) tivaware.Query {
-	if candidates == nil {
-		candidates = opts.Candidates
-	}
-	return tivaware.Query{
-		Kind:            kind,
-		Target:          target,
-		K:               k,
-		Candidates:      candidates,
-		SeverityPenalty: opts.SeverityPenalty,
-		ExcludeViolated: opts.ExcludeViolated,
-		Scatter:         opts.Residue(),
-	}
+	return resp.Results[0], nil
 }

@@ -106,8 +106,8 @@ func frameCorpus(n int) []tivaware.Query {
 	return qs
 }
 
-// TestFramedAgreesWithHTTPSingles runs every single-shot method over
-// the HTTP/JSON, HTTP/binary, and framed clients and requires exact
+// TestFramedAgreesWithHTTPSingles runs every query single-shot
+// (Client.Query) over the HTTP/JSON, HTTP/binary, and framed clients and requires exact
 // agreement, successes and failures alike.
 func TestFramedAgreesWithHTTPSingles(t *testing.T) {
 	svc := diffService(t, false)
@@ -143,49 +143,9 @@ func TestFramedAgreesWithHTTPSingles(t *testing.T) {
 
 	for _, q := range frameCorpus(n) {
 		q := q
-		opts := tivaware.QueryOptions{
-			SeverityPenalty: q.SeverityPenalty,
-			ExcludeViolated: q.ExcludeViolated,
-			Mod:             q.Scatter.Mod,
-			Rem:             q.Scatter.Rem,
-		}
-		switch q.Kind {
-		case tivaware.KindRank:
-			if q.K > 0 {
-				check(t, "KClosest", func(c *tivclient.Client) (any, error) {
-					return c.KClosest(ctx, q.Target, q.K, opts)
-				})
-			} else {
-				check(t, "Rank", func(c *tivclient.Client) (any, error) {
-					return c.Rank(ctx, q.Target, nil, opts)
-				})
-			}
-		case tivaware.KindClosest:
-			check(t, "ClosestNode", func(c *tivclient.Client) (any, error) {
-				return c.ClosestNode(ctx, q.Target, opts)
-			})
-		case tivaware.KindDetour:
-			check(t, "DetourPathMod", func(c *tivclient.Client) (any, error) {
-				return c.DetourPathMod(ctx, q.I, q.J, q.Scatter.Mod, q.Scatter.Rem)
-			})
-		case tivaware.KindTop:
-			check(t, "TopEdgesMod", func(c *tivclient.Client) (any, error) {
-				return c.TopEdgesMod(ctx, q.K, q.Scatter.Mod, q.Scatter.Rem)
-			})
-		case tivaware.KindDelay:
-			check(t, "Delay", func(c *tivclient.Client) (any, error) {
-				type dr struct {
-					D  float64
-					OK bool
-				}
-				d, ok, err := c.Delay(ctx, q.I, q.J)
-				return dr{d, ok}, err
-			})
-		case tivaware.KindAnalysis:
-			check(t, "Analysis", func(c *tivclient.Client) (any, error) {
-				return c.Analysis(ctx)
-			})
-		}
+		check(t, string(q.Kind), func(c *tivclient.Client) (any, error) {
+			return c.Query(ctx, q)
+		})
 	}
 
 	check(t, "Healthz", func(c *tivclient.Client) (any, error) {
@@ -343,11 +303,12 @@ func TestFramedUpdatesAgree(t *testing.T) {
 		t.Fatalf("update error codes diverged: http %v, framed %v", wantErr, gotErr)
 	}
 
-	wantA, err := httpC.Analysis(ctx)
+	analysis := tivaware.Query{Kind: tivaware.KindAnalysis}
+	wantA, err := httpC.Query(ctx, analysis)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotA, err := frameC.Analysis(ctx)
+	gotA, err := frameC.Query(ctx, analysis)
 	if err != nil {
 		t.Fatal(err)
 	}

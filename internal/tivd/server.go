@@ -21,7 +21,7 @@
 //
 // The optional mod/rem pair restricts a query to one residue class of
 // node ids — the scatter primitive a tivshard gateway uses to fan one
-// query out over its shards (see tivaware.QueryOptions.Scatter). The
+// query out over its shards (see tivaware.Scatter). The
 // server itself serves any Backend: an in-process tivaware.Service or
 // a tivshard.Gateway, so gateways re-export this exact protocol.
 //
@@ -41,6 +41,7 @@
 package tivd
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -142,12 +143,12 @@ func NewBackend(b Backend, opts Options) (*Server, error) {
 	}
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/v1/batch", s.handleBatch)
-	s.mux.HandleFunc("/v1/rank", s.handleRank)
-	s.mux.HandleFunc("/v1/closest", s.handleClosest)
-	s.mux.HandleFunc("/v1/detour", s.handleDetour)
-	s.mux.HandleFunc("/v1/top", s.handleTop)
-	s.mux.HandleFunc("/v1/delay", s.handleDelay)
-	s.mux.HandleFunc("/v1/analysis", s.handleAnalysis)
+	s.mux.HandleFunc("/v1/rank", s.handleQuery(s.parseRank))
+	s.mux.HandleFunc("/v1/closest", s.handleQuery(parseClosest))
+	s.mux.HandleFunc("/v1/detour", s.handleQuery(parseDetour))
+	s.mux.HandleFunc("/v1/top", s.handleQuery(s.parseTop))
+	s.mux.HandleFunc("/v1/delay", s.handleQuery(parseDelay))
+	s.mux.HandleFunc("/v1/analysis", s.handleQuery(parseAnalysis))
 	s.mux.HandleFunc("/v1/update", s.handleUpdate)
 	s.mux.HandleFunc("/v1/subscribe", s.handleSubscribe)
 	return s, nil
@@ -172,12 +173,6 @@ func (s *Server) Close() {
 	}
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
 // acceptsBinary reports whether the request negotiated the compact
 // binary response framing via Accept.
 func acceptsBinary(r *http.Request) bool {
@@ -192,17 +187,36 @@ func sendsBinary(r *http.Request) bool {
 // writeMsg writes one wire message in the codec the request
 // negotiated: binary when Accept names it, JSON otherwise. Error
 // envelopes flow through here too, so a binary client never has to
-// parse JSON mid-stream.
+// parse JSON mid-stream. The body is encoded before the status line
+// is sent, so a message that cannot be encoded (a non-finite score
+// has no JSON form) is answered with the typed internal envelope,
+// never a 200 with an empty body.
 func writeMsg(w http.ResponseWriter, r *http.Request, status int, v any) {
+	body, contentType, err := encodeMsg(r, v)
+	if err != nil {
+		status = statusForCode(tivwire.CodeInternal)
+		// An envelope holds only strings and a finite float, so it
+		// always encodes.
+		body, contentType, _ = encodeMsg(r, envelope(tivwire.CodeInternal, fmt.Errorf("encoding response: %v", err)))
+	}
+	w.Header().Set("Content-Type", contentType)
+	w.WriteHeader(status)
+	_, _ = w.Write(body) // a failed write means the client is gone
+}
+
+// encodeMsg renders v in the negotiated codec, falling back to JSON
+// for messages the binary framing does not cover.
+func encodeMsg(r *http.Request, v any) ([]byte, string, error) {
 	if acceptsBinary(r) {
 		if b, err := tivwire.MarshalBinary(v); err == nil {
-			w.Header().Set("Content-Type", tivwire.BinaryContentType)
-			w.WriteHeader(status)
-			_, _ = w.Write(b)
-			return
+			return b, tivwire.BinaryContentType, nil
 		}
 	}
-	writeJSON(w, status, v)
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(v); err != nil {
+		return nil, "", err
+	}
+	return buf.Bytes(), "application/json", nil
 }
 
 // writeError writes the structured error envelope: a human-readable
@@ -345,48 +359,143 @@ func floatParam(r *http.Request, name string, def float64) (float64, error) {
 	return v, nil
 }
 
-// queryOptions decodes the shared selection parameters: penalty,
-// exclude, candidates (comma-separated node ids), and the mod/rem
-// residue-class restriction sharded gateways scatter with.
-func queryOptions(r *http.Request) (tivaware.QueryOptions, error) {
-	var opts tivaware.QueryOptions
-	penalty, err := floatParam(r, "penalty", 0)
-	if err != nil {
-		return opts, err
+// handleQuery serves one GET query endpoint: parse decodes the
+// request parameters into the Query the endpoint names (a failure is
+// the client's fault), and serveQuery answers it through the same
+// path POST /v1/batch takes.
+func (s *Server) handleQuery(parse func(*http.Request) (tivaware.Query, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if !requireMethod(w, r, http.MethodGet) {
+			return
+		}
+		q, err := parse(r)
+		if err != nil {
+			writeError(w, r, http.StatusBadRequest, tivwire.CodeBadRequest, "%v", err)
+			return
+		}
+		s.serveQuery(w, r, q)
 	}
-	opts.SeverityPenalty = penalty
-	if opts.Scatter.Mod, opts.Scatter.Rem, err = residueParams(r); err != nil {
-		return opts, err
+}
+
+// kParam decodes an explicit result bound, which must lie in
+// [1, MaxRankK]; def applies when the parameter is absent.
+func (s *Server) kParam(r *http.Request, def int) (int, error) {
+	k, err := intParam(r, "k", def)
+	if err != nil {
+		return 0, err
+	}
+	if max := s.opts.maxRankK(); k <= 0 || k > max {
+		return 0, badRequestf("parameter k: %d outside [1,%d]", k, max)
+	}
+	return k, nil
+}
+
+// selectionParams decodes the parameters rank and closest share:
+// penalty, the mod/rem residue class, exclude, and candidates
+// (comma-separated node ids; absent means every node).
+func selectionParams(r *http.Request, q *tivaware.Query) error {
+	var err error
+	if q.SeverityPenalty, err = floatParam(r, "penalty", 0); err != nil {
+		return err
+	}
+	if q.Scatter, err = scatterParams(r); err != nil {
+		return err
 	}
 	switch raw := r.URL.Query().Get("exclude"); raw {
 	case "", "false", "0":
 	case "true", "1":
-		opts.ExcludeViolated = true
+		q.ExcludeViolated = true
 	default:
-		return opts, badRequestf("parameter exclude: want true or false, have %q", raw)
+		return badRequestf("parameter exclude: want true or false, have %q", raw)
 	}
 	if raw := r.URL.Query().Get("candidates"); raw != "" {
 		for _, f := range strings.Split(raw, ",") {
 			c, err := strconv.Atoi(strings.TrimSpace(f))
 			if err != nil {
-				return opts, badRequestf("parameter candidates: %v", err)
+				return badRequestf("parameter candidates: %v", err)
 			}
-			opts.Candidates = append(opts.Candidates, c)
+			q.Candidates = append(q.Candidates, c)
 		}
 	}
-	return opts, nil
+	return nil
 }
 
-// residueParams decodes the mod/rem residue-class restriction
+// scatterParams decodes the mod/rem residue-class restriction
 // (validated downstream by the query layer).
-func residueParams(r *http.Request) (mod, rem int, err error) {
-	if mod, err = intParam(r, "mod", 0); err != nil {
+func scatterParams(r *http.Request) (sc tivaware.Scatter, err error) {
+	if sc.Mod, err = intParam(r, "mod", 0); err != nil {
+		return sc, err
+	}
+	sc.Rem, err = intParam(r, "rem", 0)
+	return sc, err
+}
+
+// pairParams decodes the i/j node pair of detour and delay queries.
+func pairParams(r *http.Request) (i, j int, err error) {
+	if i, err = intParam(r, "i", -1); err != nil {
 		return 0, 0, err
 	}
-	if rem, err = intParam(r, "rem", 0); err != nil {
-		return 0, 0, err
+	j, err = intParam(r, "j", -1)
+	return i, j, err
+}
+
+// parseRank decodes GET /v1/rank.
+func (s *Server) parseRank(r *http.Request) (tivaware.Query, error) {
+	q := tivaware.Query{Kind: tivaware.KindRank}
+	var err error
+	if q.Target, err = intParam(r, "target", -1); err != nil {
+		return q, err
 	}
-	return mod, rem, nil
+	if q.K, err = s.kParam(r, s.opts.maxRankK()); err != nil {
+		return q, err
+	}
+	return q, selectionParams(r, &q)
+}
+
+// parseClosest decodes GET /v1/closest.
+func parseClosest(r *http.Request) (tivaware.Query, error) {
+	q := tivaware.Query{Kind: tivaware.KindClosest}
+	var err error
+	if q.Target, err = intParam(r, "target", -1); err != nil {
+		return q, err
+	}
+	return q, selectionParams(r, &q)
+}
+
+// parseDetour decodes GET /v1/detour.
+func parseDetour(r *http.Request) (tivaware.Query, error) {
+	q := tivaware.Query{Kind: tivaware.KindDetour}
+	var err error
+	if q.I, q.J, err = pairParams(r); err != nil {
+		return q, err
+	}
+	q.Scatter, err = scatterParams(r)
+	return q, err
+}
+
+// parseTop decodes GET /v1/top.
+func (s *Server) parseTop(r *http.Request) (tivaware.Query, error) {
+	q := tivaware.Query{Kind: tivaware.KindTop}
+	var err error
+	if q.K, err = s.kParam(r, 10); err != nil {
+		return q, err
+	}
+	q.Scatter, err = scatterParams(r)
+	return q, err
+}
+
+// parseDelay decodes GET /v1/delay. Out-of-range pairs are rejected
+// by the query layer, as in a batch.
+func parseDelay(r *http.Request) (tivaware.Query, error) {
+	q := tivaware.Query{Kind: tivaware.KindDelay}
+	var err error
+	q.I, q.J, err = pairParams(r)
+	return q, err
+}
+
+// parseAnalysis decodes GET /v1/analysis, which takes no parameters.
+func parseAnalysis(*http.Request) (tivaware.Query, error) {
+	return tivaware.Query{Kind: tivaware.KindAnalysis}, nil
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -426,152 +535,6 @@ func (s *Server) healthWire(ctx context.Context) (tivwire.Health, error) {
 		h.Cache = s.cache.stats()
 	}
 	return h, nil
-}
-
-func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
-	if !requireMethod(w, r, http.MethodGet) {
-		return
-	}
-	target, err := intParam(r, "target", -1)
-	if err != nil {
-		writeError(w, r, http.StatusBadRequest, tivwire.CodeBadRequest, "%v", err)
-		return
-	}
-	k, err := intParam(r, "k", s.opts.maxRankK())
-	if err != nil {
-		writeError(w, r, http.StatusBadRequest, tivwire.CodeBadRequest, "%v", err)
-		return
-	}
-	if k <= 0 || k > s.opts.maxRankK() {
-		writeError(w, r, http.StatusBadRequest, tivwire.CodeBadRequest, "parameter k: %d outside [1,%d]", k, s.opts.maxRankK())
-		return
-	}
-	opts, err := queryOptions(r)
-	if err != nil {
-		writeError(w, r, http.StatusBadRequest, tivwire.CodeBadRequest, "%v", err)
-		return
-	}
-	s.serveQuery(w, r, tivaware.Query{
-		Kind:            tivaware.KindRank,
-		Target:          target,
-		K:               k,
-		Candidates:      opts.Candidates,
-		SeverityPenalty: opts.SeverityPenalty,
-		ExcludeViolated: opts.ExcludeViolated,
-		Scatter:         opts.Scatter,
-	})
-}
-
-func (s *Server) handleClosest(w http.ResponseWriter, r *http.Request) {
-	if !requireMethod(w, r, http.MethodGet) {
-		return
-	}
-	target, err := intParam(r, "target", -1)
-	if err != nil {
-		writeError(w, r, http.StatusBadRequest, tivwire.CodeBadRequest, "%v", err)
-		return
-	}
-	opts, err := queryOptions(r)
-	if err != nil {
-		writeError(w, r, http.StatusBadRequest, tivwire.CodeBadRequest, "%v", err)
-		return
-	}
-	s.serveQuery(w, r, tivaware.Query{
-		Kind:            tivaware.KindClosest,
-		Target:          target,
-		Candidates:      opts.Candidates,
-		SeverityPenalty: opts.SeverityPenalty,
-		ExcludeViolated: opts.ExcludeViolated,
-		Scatter:         opts.Scatter,
-	})
-}
-
-func (s *Server) handleDetour(w http.ResponseWriter, r *http.Request) {
-	if !requireMethod(w, r, http.MethodGet) {
-		return
-	}
-	i, err := intParam(r, "i", -1)
-	if err != nil {
-		writeError(w, r, http.StatusBadRequest, tivwire.CodeBadRequest, "%v", err)
-		return
-	}
-	j, err := intParam(r, "j", -1)
-	if err != nil {
-		writeError(w, r, http.StatusBadRequest, tivwire.CodeBadRequest, "%v", err)
-		return
-	}
-	mod, rem, err := residueParams(r)
-	if err != nil {
-		writeError(w, r, http.StatusBadRequest, tivwire.CodeBadRequest, "%v", err)
-		return
-	}
-	s.serveQuery(w, r, tivaware.Query{
-		Kind:    tivaware.KindDetour,
-		I:       i,
-		J:       j,
-		Scatter: tivaware.Scatter{Mod: mod, Rem: rem},
-	})
-}
-
-func (s *Server) handleTop(w http.ResponseWriter, r *http.Request) {
-	if !requireMethod(w, r, http.MethodGet) {
-		return
-	}
-	k, err := intParam(r, "k", 10)
-	if err != nil {
-		writeError(w, r, http.StatusBadRequest, tivwire.CodeBadRequest, "%v", err)
-		return
-	}
-	if k <= 0 || k > s.opts.maxRankK() {
-		writeError(w, r, http.StatusBadRequest, tivwire.CodeBadRequest, "parameter k: %d outside [1,%d]", k, s.opts.maxRankK())
-		return
-	}
-	mod, rem, err := residueParams(r)
-	if err != nil {
-		writeError(w, r, http.StatusBadRequest, tivwire.CodeBadRequest, "%v", err)
-		return
-	}
-	s.serveQuery(w, r, tivaware.Query{
-		Kind:    tivaware.KindTop,
-		K:       k,
-		Scatter: tivaware.Scatter{Mod: mod, Rem: rem},
-	})
-}
-
-func (s *Server) handleDelay(w http.ResponseWriter, r *http.Request) {
-	if !requireMethod(w, r, http.MethodGet) {
-		return
-	}
-	i, err := intParam(r, "i", -1)
-	if err != nil {
-		writeError(w, r, http.StatusBadRequest, tivwire.CodeBadRequest, "%v", err)
-		return
-	}
-	j, err := intParam(r, "j", -1)
-	if err != nil {
-		writeError(w, r, http.StatusBadRequest, tivwire.CodeBadRequest, "%v", err)
-		return
-	}
-	if i < 0 || j < 0 || i >= s.b.N() || j >= s.b.N() {
-		writeError(w, r, http.StatusBadRequest, tivwire.CodeBadRequest, "pair (%d,%d) out of range [0,%d)", i, j, s.b.N())
-		return
-	}
-	d, ok, err := s.b.Delay(r.Context(), i, j)
-	if err != nil {
-		serviceError(w, r, err)
-		return
-	}
-	if !ok {
-		d = -1
-	}
-	writeMsg(w, r, http.StatusOK, tivwire.DelayResponse{I: i, J: j, Delay: d, OK: ok})
-}
-
-func (s *Server) handleAnalysis(w http.ResponseWriter, r *http.Request) {
-	if !requireMethod(w, r, http.MethodGet) {
-		return
-	}
-	s.serveQuery(w, r, tivaware.Query{Kind: tivaware.KindAnalysis})
 }
 
 func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {

@@ -2,9 +2,13 @@ package tivd_test
 
 import (
 	"context"
+	"encoding/json"
+	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -27,6 +31,34 @@ func tivMatrix() *delayspace.Matrix {
 	m.Set(1, 3, 40)
 	m.Set(2, 3, 45)
 	return m
+}
+
+// queryFunc answers one typed query; a per-query failure is the error.
+type queryFunc func(context.Context, tivaware.Query) (tivaware.Result, error)
+
+// batchOne adapts a Querier to the single-query shape of
+// tivclient.Client.Query.
+func batchOne(qr tivaware.Querier) queryFunc {
+	return func(ctx context.Context, q tivaware.Query) (tivaware.Result, error) {
+		res, err := qr.QueryBatch(ctx, []tivaware.Query{q})
+		if err != nil {
+			return tivaware.Result{}, err
+		}
+		return res[0], res[0].Err
+	}
+}
+
+// getJSON issues a plain GET and decodes a 200 JSON body into out.
+func getJSON(url string, out any) error {
+	resp, err := http.Get(url)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("GET %s: HTTP %d", url, resp.StatusCode)
+	}
+	return json.NewDecoder(resp.Body).Decode(out)
 }
 
 // startDaemon serves svc over a test HTTP server and returns a
@@ -63,28 +95,30 @@ func TestDaemonQueryRoundTrip(t *testing.T) {
 	}
 
 	// The networked answers must equal the in-process ones, shape for
-	// shape: Client and Service both satisfy tivaware.Querier.
-	opts := tivaware.QueryOptions{SeverityPenalty: 2}
+	// shape: Client.Query and a Service batch of one answer the same
+	// typed query.
+	rank := tivaware.Query{Kind: tivaware.KindRank, SeverityPenalty: 2}
 	for _, q := range []struct {
-		name   string
-		remote tivaware.Querier
-	}{{"remote", client}, {"in-process", svc}} {
-		ranked, err := q.remote.Rank(ctx, 0, nil, opts)
+		name  string
+		query queryFunc
+	}{{"remote", client.Query}, {"in-process", batchOne(svc)}} {
+		res, err := q.query(ctx, rank)
 		if err != nil {
-			t.Fatalf("%s Rank: %v", q.name, err)
+			t.Fatalf("%s rank: %v", q.name, err)
 		}
-		if len(ranked) != 3 || ranked[0].Node != 2 {
-			t.Fatalf("%s Rank = %+v", q.name, ranked)
+		if ranked := res.Selections; len(ranked) != 3 || ranked[0].Node != 2 {
+			t.Fatalf("%s rank = %+v", q.name, ranked)
 		}
 	}
-	want, err := svc.Rank(ctx, 0, nil, opts)
+	want, err := svc.Rank(ctx, 0, nil, tivaware.QueryOptions{SeverityPenalty: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := client.Rank(ctx, 0, nil, opts)
+	res, err := client.Query(ctx, rank)
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := res.Selections
 	for k := range want {
 		if got[k].Node != want[k].Node || got[k].Violated != want[k].Violated ||
 			got[k].Violations != want[k].Violations ||
@@ -94,56 +128,51 @@ func TestDaemonQueryRoundTrip(t *testing.T) {
 		}
 	}
 
-	top2, err := client.KClosest(ctx, 0, 2, tivaware.QueryOptions{})
+	res, err = client.Query(ctx, tivaware.Query{Kind: tivaware.KindRank, K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(top2) != 2 || top2[0].Node != 2 || top2[1].Node != 3 {
-		t.Errorf("KClosest = %+v", top2)
+	if top2 := res.Selections; len(top2) != 2 || top2[0].Node != 2 || top2[1].Node != 3 {
+		t.Errorf("rank k=2 = %+v", top2)
 	}
 
-	best, err := client.ClosestNode(ctx, 0, tivaware.QueryOptions{ExcludeViolated: true})
+	res, err = client.Query(ctx, tivaware.Query{Kind: tivaware.KindClosest, ExcludeViolated: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if best.Node != 2 || best.Violated {
-		t.Errorf("ClosestNode = %+v", best)
+	if best := res.Selections[0]; best.Node != 2 || best.Violated {
+		t.Errorf("closest = %+v", best)
 	}
 
-	d, err := client.DetourPath(ctx, 0, 1)
+	res, err = client.Query(ctx, tivaware.Query{Kind: tivaware.KindDetour, I: 0, J: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Via != 2 || d.ViaDelay != 30 || d.Gain != 70 || d.Direct != 100 || !d.Beneficial() {
-		t.Errorf("DetourPath = %+v", d)
+	if d := res.Detour; d.Via != 2 || d.ViaDelay != 30 || d.Gain != 70 || d.Direct != 100 || !d.Beneficial() {
+		t.Errorf("detour = %+v", d)
 	}
 
-	top, err := client.TopEdges(ctx, 1)
+	res, err = client.Query(ctx, tivaware.Query{Kind: tivaware.KindTop, K: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(top) != 1 || top[0].I != 0 || top[0].J != 1 || top[0].Delay <= 0 {
-		t.Errorf("TopEdges = %+v, want the violated edge (0,1)", top)
+	if top := res.Edges; len(top) != 1 || top[0].I != 0 || top[0].J != 1 || top[0].Delay <= 0 {
+		t.Errorf("top = %+v, want the violated edge (0,1)", top)
 	}
 
-	delay, ok, err := client.Delay(ctx, 0, 2)
-	if err != nil || !ok || delay != 10 {
-		t.Errorf("Delay(0,2) = %g,%v,%v, want 10,true,nil", delay, ok, err)
-	}
-	if _, ok, err := client.Delay(ctx, 1, 1); err != nil || ok {
-		// The diagonal is measured by definition; use an unmeasured
-		// check on a holey pair instead below. Delay(1,1) is (0,true).
-		_ = ok
+	res, err = client.Query(ctx, tivaware.Query{Kind: tivaware.KindDelay, I: 0, J: 2})
+	if err != nil || !res.DelayOK || res.Delay != 10 {
+		t.Errorf("delay(0,2) = %g,%v,%v, want 10,true,nil", res.Delay, res.DelayOK, err)
 	}
 
-	an, err := client.Analysis(ctx)
+	res, err = client.Query(ctx, tivaware.Query{Kind: tivaware.KindAnalysis})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Edge (0,1) is violated by both witnesses 2 and 3: two violating
 	// triples out of C(4,3) = 4.
-	if an.ViolatingTriangles != 2 || an.N != 4 || an.Triangles != 4 {
-		t.Errorf("Analysis = %+v", an)
+	if an := res.Analysis; an.ViolatingTriangles != 2 || an.N != 4 || an.Triangles != 4 {
+		t.Errorf("analysis = %+v", an)
 	}
 
 	// Batch daemons reject updates and subscriptions.
@@ -212,8 +241,8 @@ func TestDaemonUpdateAndSubscribeRoundTrip(t *testing.T) {
 	}
 
 	// The daemon's epoch advanced and its analysis reflects the update.
-	an, err := client.Analysis(ctx)
-	if err != nil {
+	var an tivwire.AnalysisResponse
+	if err := getJSON(client.BaseURL()+"/v1/analysis", &an); err != nil {
 		t.Fatal(err)
 	}
 	if an.ViolatingTriangles != 2 {
@@ -252,27 +281,33 @@ func TestDaemonValidationErrors(t *testing.T) {
 	client, srv := startDaemon(t, svc, tivd.Options{MaxRankK: 8})
 	ctx := context.Background()
 
-	if _, err := client.Rank(ctx, 99, nil, tivaware.QueryOptions{}); err == nil {
-		t.Error("out-of-range target should error")
+	for _, c := range []struct {
+		name string
+		q    tivaware.Query
+	}{
+		{"out-of-range target", tivaware.Query{Kind: tivaware.KindRank, Target: 99}},
+		{"duplicate candidates", tivaware.Query{Kind: tivaware.KindRank, Candidates: []int{1, 1}}},
+		{"k beyond MaxRankK", tivaware.Query{Kind: tivaware.KindRank, K: 99}},
+		{"negative k", tivaware.Query{Kind: tivaware.KindRank, K: -1}},
+		{"diagonal detour", tivaware.Query{Kind: tivaware.KindDetour, I: 1, J: 1}},
+		{"out-of-range delay pair", tivaware.Query{Kind: tivaware.KindDelay, I: 0, J: 99}},
+	} {
+		if _, err := client.Query(ctx, c.q); err == nil {
+			t.Errorf("%s should error", c.name)
+		}
 	}
-	if _, err := client.Rank(ctx, 0, []int{1, 1}, tivaware.QueryOptions{}); err == nil {
-		t.Error("duplicate candidates should error")
+	// An explicit k=0 is out of range on the GET endpoint.
+	resp, err := http.Get(client.BaseURL() + "/v1/rank?target=0&k=0")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := client.KClosest(ctx, 0, 99, tivaware.QueryOptions{}); err == nil {
-		t.Error("k beyond MaxRankK should error")
-	}
-	if _, err := client.KClosest(ctx, 0, 0, tivaware.QueryOptions{}); err == nil {
-		t.Error("k = 0 should error")
-	}
-	if _, err := client.DetourPath(ctx, 1, 1); err == nil {
-		t.Error("diagonal detour should error")
-	}
-	if _, _, err := client.Delay(ctx, 0, 99); err == nil {
-		t.Error("out-of-range delay pair should error")
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("GET /v1/rank?k=0 = %d, want 400", resp.StatusCode)
 	}
 
 	// Wrong methods are rejected with Allow headers.
-	resp, err := http.Get(client.BaseURL() + "/v1/update")
+	resp, err = http.Get(client.BaseURL() + "/v1/update")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,11 +318,10 @@ func TestDaemonValidationErrors(t *testing.T) {
 	_ = srv
 }
 
-// TestClientEmptyCandidatesParity pins Querier parity for an
-// explicitly empty candidate set: the wire cannot express it (an
-// absent parameter means all nodes), so the client must reproduce
-// the Service's semantics locally instead of silently ranking
-// everything.
+// TestClientEmptyCandidatesParity pins Query parity for an explicitly
+// empty candidate set: the wire cannot express it (an absent parameter
+// means all nodes), so the client must reproduce the Service's
+// semantics locally instead of silently ranking everything.
 func TestClientEmptyCandidatesParity(t *testing.T) {
 	svc, err := tivaware.NewFromMatrix(tivMatrix(), tivaware.Options{Workers: 1})
 	if err != nil {
@@ -295,28 +329,28 @@ func TestClientEmptyCandidatesParity(t *testing.T) {
 	}
 	client, _ := startDaemon(t, svc, tivd.Options{})
 	ctx := context.Background()
-	empty := tivaware.QueryOptions{Candidates: []int{}}
+	empty := []int{}
 
 	for _, q := range []struct {
-		name string
-		q    tivaware.Querier
-	}{{"in-process", svc}, {"remote", client}} {
-		ranked, err := q.q.Rank(ctx, 0, []int{}, tivaware.QueryOptions{})
-		if err != nil || len(ranked) != 0 {
-			t.Errorf("%s Rank with empty candidates = %v, %v; want empty, nil", q.name, ranked, err)
+		name  string
+		query queryFunc
+	}{{"in-process", batchOne(svc)}, {"remote", client.Query}} {
+		res, err := q.query(ctx, tivaware.Query{Kind: tivaware.KindRank, Candidates: empty})
+		if err != nil || len(res.Selections) != 0 {
+			t.Errorf("%s rank with empty candidates = %v, %v; want empty, nil", q.name, res.Selections, err)
 		}
-		ranked, err = q.q.KClosest(ctx, 0, 2, empty)
-		if err != nil || len(ranked) != 0 {
-			t.Errorf("%s KClosest with empty candidates = %v, %v; want empty, nil", q.name, ranked, err)
+		res, err = q.query(ctx, tivaware.Query{Kind: tivaware.KindRank, K: 2, Candidates: empty})
+		if err != nil || len(res.Selections) != 0 {
+			t.Errorf("%s rank k=2 with empty candidates = %v, %v; want empty, nil", q.name, res.Selections, err)
 		}
-		if _, err := q.q.ClosestNode(ctx, 0, empty); err == nil {
-			t.Errorf("%s ClosestNode with empty candidates should error", q.name)
+		if _, err := q.query(ctx, tivaware.Query{Kind: tivaware.KindClosest, Candidates: empty}); err == nil {
+			t.Errorf("%s closest with empty candidates should error", q.name)
 		}
 	}
 }
 
 // TestRankTruncationIsSignalled: a daemon cap below the candidate
-// count must surface as an explicit error from Client.Rank, never a
+// count must surface as Result.Truncated from Client.Query, never a
 // silently shortened ranking.
 func TestRankTruncationIsSignalled(t *testing.T) {
 	svc, err := tivaware.NewFromMatrix(tivMatrix(), tivaware.Options{Workers: 1})
@@ -325,13 +359,58 @@ func TestRankTruncationIsSignalled(t *testing.T) {
 	}
 	client, _ := startDaemon(t, svc, tivd.Options{MaxRankK: 2}) // 3 candidates rank for node 0
 	ctx := context.Background()
-	if _, err := client.Rank(ctx, 0, nil, tivaware.QueryOptions{}); err == nil {
-		t.Error("truncated Rank should error")
+	res, err := client.Query(ctx, tivaware.Query{Kind: tivaware.KindRank})
+	if err != nil || !res.Truncated || len(res.Selections) != 2 {
+		t.Errorf("rank over the cap = %+v, %v; want 2 selections marked truncated", res, err)
 	}
-	// KClosest within the cap still works and is explicitly bounded.
-	top2, err := client.KClosest(ctx, 0, 2, tivaware.QueryOptions{})
-	if err != nil || len(top2) != 2 {
-		t.Errorf("KClosest(0,2) under cap = %v, %v", top2, err)
+	// A bound within the cap still works and is explicitly bounded.
+	res, err = client.Query(ctx, tivaware.Query{Kind: tivaware.KindRank, K: 2})
+	if err != nil || len(res.Selections) != 2 {
+		t.Errorf("rank k=2 under cap = %v, %v", res.Selections, err)
+	}
+}
+
+// TestUnencodableAnswerIsTypedInternal: a penalized score that
+// overflows to +Inf has no JSON form. The daemon must answer with the
+// typed internal envelope and its status, never a 200 with an empty
+// body: on the GET endpoint and inside a JSON batch alike.
+func TestUnencodableAnswerIsTypedInternal(t *testing.T) {
+	svc, err := tivaware.NewFromMatrix(tivMatrix(), tivaware.Options{Live: true, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	client, _ := startDaemon(t, svc, tivd.Options{})
+	if _, err := client.ApplyBatch(context.Background(), []tivwire.Update{
+		{I: 0, J: 1, RTT: 1e308}, {I: 1, J: 2, RTT: 1e308},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	base := client.BaseURL()
+	for _, req := range []struct {
+		name, method, url, body string
+	}{
+		{"GET /v1/rank", http.MethodGet, base + "/v1/rank?target=0&penalty=1&candidates=1,2,3", ""},
+		{"POST /v1/batch", http.MethodPost, base + "/v1/batch",
+			`{"queries":[{"kind":"rank","target":0,"penalty":1,"candidates":[1,2,3]}]}`},
+	} {
+		r, err := http.NewRequest(req.method, req.url, strings.NewReader(req.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var env tivwire.Error
+		if resp.StatusCode != http.StatusServiceUnavailable || json.Unmarshal(raw, &env) != nil ||
+			env.Code != tivwire.CodeInternal || env.Error == "" {
+			t.Errorf("%s: HTTP %d body %q, want 503 with the %q envelope", req.name, resp.StatusCode, raw, tivwire.CodeInternal)
+		}
 	}
 }
 

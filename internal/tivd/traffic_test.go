@@ -11,6 +11,7 @@ import (
 	"reflect"
 	"testing"
 
+	"tivaware/internal/delayspace"
 	"tivaware/internal/synth"
 	"tivaware/internal/tivaware"
 	"tivaware/internal/tivclient"
@@ -90,66 +91,19 @@ func TestBatchMatchesSingles(t *testing.T) {
 					if res.Kind != q.Kind {
 						t.Errorf("pass %d query %d: kind %q, want %q", pass, qi, res.Kind, q.Kind)
 					}
-					switch q.Kind {
-					case tivaware.KindRank:
-						single, err := client.KClosest(ctx, q.Target, q.K, tivaware.QueryOptions{
-							SeverityPenalty: q.SeverityPenalty, ExcludeViolated: q.ExcludeViolated,
-						})
-						if err != nil {
-							if res.Err == nil {
-								t.Errorf("pass %d query %d: single errored (%v), batch did not", pass, qi, err)
-							}
-							continue
+					single, err := client.Query(ctx, q)
+					if err != nil {
+						if res.Err == nil {
+							t.Errorf("pass %d query %d: single errored (%v), batch did not", pass, qi, err)
 						}
-						if res.Err != nil {
-							t.Errorf("pass %d query %d: batch errored (%v), single did not", pass, qi, res.Err)
-							continue
-						}
-						if !reflect.DeepEqual(res.Selections, single) {
-							t.Errorf("pass %d query %d: batch rank diverges from single:\n batch:  %v\n single: %v", pass, qi, res.Selections, single)
-						}
-					case tivaware.KindClosest:
-						single, err := client.ClosestNode(ctx, q.Target, tivaware.QueryOptions{})
-						if err != nil {
-							t.Fatalf("pass %d query %d: %v", pass, qi, err)
-						}
-						if len(res.Selections) != 1 || !reflect.DeepEqual(res.Selections[0], single) {
-							t.Errorf("pass %d query %d: batch closest %v, single %v", pass, qi, res.Selections, single)
-						}
-					case tivaware.KindDetour:
-						single, err := client.DetourPath(ctx, q.I, q.J)
-						if err != nil {
-							t.Fatalf("pass %d query %d: %v", pass, qi, err)
-						}
-						if !reflect.DeepEqual(res.Detour, single) {
-							t.Errorf("pass %d query %d: batch detour %+v, single %+v", pass, qi, res.Detour, single)
-						}
-					case tivaware.KindTop:
-						single, err := client.TopEdges(ctx, q.K)
-						if err != nil {
-							t.Fatalf("pass %d query %d: %v", pass, qi, err)
-						}
-						if !reflect.DeepEqual(res.Edges, single) {
-							t.Errorf("pass %d query %d: batch top %v, single %v", pass, qi, res.Edges, single)
-						}
-					case tivaware.KindDelay:
-						d, ok, err := client.Delay(ctx, q.I, q.J)
-						if err != nil {
-							t.Fatalf("pass %d query %d: %v", pass, qi, err)
-						}
-						if res.Delay != d || res.DelayOK != ok {
-							t.Errorf("pass %d query %d: batch delay (%v,%v), single (%v,%v)", pass, qi, res.Delay, res.DelayOK, d, ok)
-						}
-					case tivaware.KindAnalysis:
-						single, err := client.Analysis(ctx)
-						if err != nil {
-							t.Fatalf("pass %d query %d: %v", pass, qi, err)
-						}
-						a := res.Analysis
-						if a.N != single.N || a.ViolatingTriangles != single.ViolatingTriangles ||
-							a.Triangles != single.Triangles || a.Version != single.Version {
-							t.Errorf("pass %d query %d: batch analysis %+v, single %+v", pass, qi, a, single)
-						}
+						continue
+					}
+					if res.Err != nil {
+						t.Errorf("pass %d query %d: batch errored (%v), single did not", pass, qi, res.Err)
+						continue
+					}
+					if !reflect.DeepEqual(res, single) {
+						t.Errorf("pass %d query %d: batch %s diverges from single:\n batch:  %+v\n single: %+v", pass, qi, q.Kind, res, single)
 					}
 				}
 			}
@@ -215,40 +169,31 @@ func TestBinaryJSONEndpointParity(t *testing.T) {
 	hb, err2 := bin.Healthz(ctx)
 	check("healthz", hj, hb, err1, err2)
 
-	rj, err1 := js.KClosest(ctx, 0, 5, tivaware.QueryOptions{SeverityPenalty: 2})
-	rb, err2 := bin.KClosest(ctx, 0, 5, tivaware.QueryOptions{SeverityPenalty: 2})
-	check("rank", rj, rb, err1, err2)
-
-	cj, err1 := js.ClosestNode(ctx, 1, tivaware.QueryOptions{})
-	cb, err2 := bin.ClosestNode(ctx, 1, tivaware.QueryOptions{})
-	check("closest", cj, cb, err1, err2)
-
-	dj, err1 := js.DetourPath(ctx, 0, 3)
-	db, err2 := bin.DetourPath(ctx, 0, 3)
-	check("detour", dj, db, err1, err2)
-
-	tj, err1 := js.TopEdges(ctx, 5)
-	tb, err2 := bin.TopEdges(ctx, 5)
-	check("top", tj, tb, err1, err2)
-
-	dlj, okj, err1 := js.Delay(ctx, 2, 3)
-	dlb, okb, err2 := bin.Delay(ctx, 2, 3)
-	check("delay", [2]any{dlj, okj}, [2]any{dlb, okb}, err1, err2)
-
-	aj, err1 := js.Analysis(ctx)
-	ab, err2 := bin.Analysis(ctx)
-	check("analysis", aj, ab, err1, err2)
+	for _, q := range []tivaware.Query{
+		{Kind: tivaware.KindRank, Target: 0, K: 5, SeverityPenalty: 2},
+		{Kind: tivaware.KindClosest, Target: 1},
+		{Kind: tivaware.KindDetour, I: 0, J: 3},
+		{Kind: tivaware.KindTop, K: 5},
+		{Kind: tivaware.KindDelay, I: 2, J: 3},
+		{Kind: tivaware.KindAnalysis},
+	} {
+		rj, err1 := js.Query(ctx, q)
+		rb, err2 := bin.Query(ctx, q)
+		check(string(q.Kind), rj, rb, err1, err2)
+	}
 
 	uj, err1 := js.ApplyUpdate(ctx, 0, 1, 42.5)
 	ub, err2 := bin.ApplyUpdate(ctx, 0, 1, 42.5)
 	check("update", uj, ub, err1, err2)
 
 	// Error envelopes: out-of-range target through both codecs.
-	_, err1 = js.KClosest(ctx, 10_000, 3, tivaware.QueryOptions{})
-	_, err2 = bin.KClosest(ctx, 10_000, 3, tivaware.QueryOptions{})
+	badRank := tivaware.Query{Kind: tivaware.KindRank, Target: 10_000, K: 3}
+	_, err1 = js.Query(ctx, badRank)
+	_, err2 = bin.Query(ctx, badRank)
 	check("rank-error", nil, nil, err1, err2)
-	_, _, err1 = js.Delay(ctx, -1, 2)
-	_, _, err2 = bin.Delay(ctx, -1, 2)
+	badDelay := tivaware.Query{Kind: tivaware.KindDelay, I: -1, J: 2}
+	_, err1 = js.Query(ctx, badDelay)
+	_, err2 = bin.Query(ctx, badDelay)
 	check("delay-error", nil, nil, err1, err2)
 	// Per-query error envelopes inside a batch (unknown kind).
 	bj, err1 := js.QueryBatch(ctx, []tivaware.Query{{Kind: "nonsense"}})
@@ -300,10 +245,10 @@ func TestMixedNegotiation(t *testing.T) {
 	}
 }
 
-// TestDeprecatedResidueOptions proves the deprecated QueryOptions
-// Mod/Rem spelling answers identically to the typed Scatter, one
-// round trip per residue-aware endpoint.
-func TestDeprecatedResidueOptions(t *testing.T) {
+// TestResidueParamsMatchBatch proves the GET endpoints' mod/rem
+// parameters answer identically to the typed Query.Scatter of a
+// batch, one single-shot round trip per residue-aware kind.
+func TestResidueParamsMatchBatch(t *testing.T) {
 	svc := synthService(t)
 	srv, err := tivd.New(svc, tivd.Options{})
 	if err != nil {
@@ -313,56 +258,25 @@ func TestDeprecatedResidueOptions(t *testing.T) {
 	client := tivclient.New(url, tivclient.Options{})
 	ctx := context.Background()
 
-	deprecated := tivaware.QueryOptions{Mod: 2, Rem: 1}
-	typed := tivaware.QueryOptions{Scatter: tivaware.Scatter{Mod: 2, Rem: 1}}
-
-	rd, err := client.KClosest(ctx, 0, 4, deprecated)
+	class := tivaware.Scatter{Mod: 2, Rem: 1}
+	queries := []tivaware.Query{
+		{Kind: tivaware.KindRank, Target: 0, K: 4, Scatter: class},
+		{Kind: tivaware.KindClosest, Target: 3, Scatter: class},
+		{Kind: tivaware.KindDetour, I: 0, J: 5, Scatter: class},
+		{Kind: tivaware.KindTop, K: 6, Scatter: class},
+	}
+	results, err := client.QueryBatch(ctx, queries)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := client.KClosest(ctx, 0, 4, typed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(rd, rt) {
-		t.Errorf("rank: deprecated Mod/Rem diverges from Scatter:\n old: %v\n new: %v", rd, rt)
-	}
-
-	cd, err := client.ClosestNode(ctx, 3, deprecated)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ct, err := client.ClosestNode(ctx, 3, typed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(cd, ct) {
-		t.Errorf("closest: deprecated Mod/Rem diverges from Scatter: %v vs %v", cd, ct)
-	}
-
-	// Detour and top take residues as explicit ints on the client; the
-	// typed path is the batch Query.Scatter. Equality across the two
-	// spellings proves the server folds them into one code path.
-	dm, err := client.DetourPathMod(ctx, 0, 5, 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	results, err := client.QueryBatch(ctx, []tivaware.Query{
-		{Kind: tivaware.KindDetour, I: 0, J: 5, Scatter: tivaware.Scatter{Mod: 2, Rem: 1}},
-		{Kind: tivaware.KindTop, K: 6, Scatter: tivaware.Scatter{Mod: 2, Rem: 1}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if results[0].Err != nil || !reflect.DeepEqual(results[0].Detour, dm) {
-		t.Errorf("detour: mod/rem params diverge from typed Scatter: %+v vs %+v (err %v)", results[0].Detour, dm, results[0].Err)
-	}
-	tm, err := client.TopEdgesMod(ctx, 6, 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if results[1].Err != nil || !reflect.DeepEqual(results[1].Edges, tm) {
-		t.Errorf("top: mod/rem params diverge from typed Scatter: %v vs %v (err %v)", results[1].Edges, tm, results[1].Err)
+	for i, q := range queries {
+		single, err := client.Query(ctx, q)
+		if err != nil || results[i].Err != nil {
+			t.Fatalf("%s: single err %v, batch err %v", q.Kind, err, results[i].Err)
+		}
+		if !reflect.DeepEqual(single, results[i]) {
+			t.Errorf("%s: mod/rem params diverge from typed Scatter:\n get:   %+v\n batch: %+v", q.Kind, single, results[i])
+		}
 	}
 }
 
@@ -387,11 +301,15 @@ func TestQueryCacheCoherence(t *testing.T) {
 		t.Fatal("cache enabled by default but healthz reports none")
 	}
 
-	before, err := client.TopEdges(ctx, 5)
+	top := func(c *tivclient.Client, k int) ([]delayspace.Edge, error) {
+		res, err := c.Query(ctx, tivaware.Query{Kind: tivaware.KindTop, K: k})
+		return res.Edges, err
+	}
+	before, err := top(client, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := client.TopEdges(ctx, 5)
+	again, err := top(client, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,7 +330,7 @@ func TestQueryCacheCoherence(t *testing.T) {
 	if _, err := client.ApplyUpdate(ctx, worst.I, worst.J, 0.001); err != nil {
 		t.Fatal(err)
 	}
-	after, err := client.TopEdges(ctx, 5)
+	after, err := top(client, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -439,7 +357,7 @@ func TestQueryCacheCoherence(t *testing.T) {
 	if h2.Cache != nil {
 		t.Errorf("cache disabled but healthz reports %+v", h2.Cache)
 	}
-	if _, err := client2.TopEdges(ctx, 3); err != nil {
+	if _, err := top(client2, 3); err != nil {
 		t.Fatal(err)
 	}
 }

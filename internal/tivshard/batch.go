@@ -11,15 +11,13 @@ import (
 	"tivaware/internal/tivclient"
 )
 
-// The gateway's batch path. A batch of M heterogeneous queries costs
+// The gateway's query path. A batch of M heterogeneous queries costs
 // at most one /v1/batch round trip per shard: every query is either
 // routed to one class (explicit residue restrictions, delay reads) or
 // expanded into K class sub-queries (unrestricted rank/closest/top/
 // detour), the per-class sub-batches scatter concurrently, and the
-// class answers merge with the same comparators the single-shot paths
-// use — so the batch path is exactly as precise as issuing the
-// queries one by one, while amortizing the per-request overhead the
-// single-shot scatter pays K times per query.
+// class answers merge with the monolith's comparators. A single query
+// is a batch of one through the same merges.
 
 // gwPart is one class-routed sub-query of a batch.
 type gwPart struct {
@@ -82,7 +80,7 @@ func (g *Gateway) QueryBatch(ctx context.Context, queries []tivaware.Query) ([]t
 			}
 			if q.Kind == tivaware.KindClosest {
 				// Resolved as a per-class rank of 1 so an empty class
-				// cannot fail the query (mirrors Gateway.ClosestNode).
+				// cannot fail the query.
 				q.Kind = tivaware.KindRank
 				q.K = 1
 			}
@@ -189,25 +187,16 @@ func (g *Gateway) QueryBatch(ctx context.Context, queries []tivaware.Query) ([]t
 	// Analysis sweeps the whole cluster with agreement checking; one
 	// sweep answers every analysis query in the batch.
 	if len(analysisIdx) > 0 {
-		aresp, err := g.Analysis(ctx)
+		summary, err := g.Analysis(ctx)
 		for _, i := range analysisIdx {
-			if err != nil {
-				out[i].Err = err
-				continue
-			}
-			out[i].Analysis = tivaware.AnalysisSummary{
-				N:                  aresp.N,
-				ViolatingTriangles: aresp.ViolatingTriangles,
-				Triangles:          aresp.Triangles,
-				Version:            aresp.Version,
-			}
+			out[i].Analysis, out[i].Err = summary, err
 		}
 	}
 	return out, nil
 }
 
-// mergeRank k-way merges per-class rankings exactly as Gateway.Rank
-// and KClosest do; limit ≤ 0 keeps everything. Truncated reports a
+// mergeRank k-way merges per-class rankings by the monolith's
+// comparator; limit ≤ 0 keeps everything. Truncated reports a
 // shard-side cut or a merge-side one.
 func (g *Gateway) mergeRank(a *gwAccum, limit int) ([]tivaware.Selection, bool) {
 	total := 0
@@ -222,7 +211,7 @@ func (g *Gateway) mergeRank(a *gwAccum, limit int) ([]tivaware.Selection, bool) 
 
 // mergeDetour reduces per-class detour scans to the smallest via
 // delay, ties to the lowest relay id — the monolithic scan's first
-// strict minimum (mirrors DetourPathMod).
+// strict minimum.
 func (g *Gateway) mergeDetour(a *gwAccum, i, j int) tivaware.Detour {
 	best := tivaware.Detour{I: i, J: j, Via: -1}
 	for class, ok := range a.answered {

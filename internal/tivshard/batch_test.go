@@ -112,62 +112,6 @@ func TestGatewayBatchMatchesMonolith(t *testing.T) {
 	}
 }
 
-// TestGatewayBatchMatchesSingles pins the amortization claim: the
-// batch path is a transport optimization, not a different query
-// engine, so each batch answer must equal the gateway's own
-// single-shot answer for the same query.
-func TestGatewayBatchMatchesSingles(t *testing.T) {
-	c, _ := diffCluster(t, 3, false)
-	ctx := context.Background()
-	gw := c.Gateway
-	n := c.Matrix.N()
-
-	queries := []tivaware.Query{
-		{Kind: tivaware.KindRank, Target: 3, K: 5, SeverityPenalty: 2.5},
-		{Kind: tivaware.KindClosest, Target: 7, SeverityPenalty: 1.5},
-		{Kind: tivaware.KindDetour, I: 1, J: n - 1},
-		{Kind: tivaware.KindTop, K: 10},
-	}
-	batch, err := gw.QueryBatch(ctx, queries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range batch {
-		if r.Err != nil {
-			t.Fatalf("batch query %s failed: %v", r.Kind, r.Err)
-		}
-	}
-
-	sels, err := gw.KClosest(ctx, 3, 5, tivaware.QueryOptions{SeverityPenalty: 2.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(batch[0].Selections, sels) {
-		t.Errorf("rank: batch %+v, single %+v", batch[0].Selections, sels)
-	}
-	closest, err := gw.ClosestNode(ctx, 7, tivaware.QueryOptions{SeverityPenalty: 1.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(batch[1].Selections) != 1 || batch[1].Selections[0] != closest {
-		t.Errorf("closest: batch %+v, single %+v", batch[1].Selections, closest)
-	}
-	det, err := gw.DetourPath(ctx, 1, n-1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if batch[2].Detour != det {
-		t.Errorf("detour: batch %+v, single %+v", batch[2].Detour, det)
-	}
-	top, err := gw.TopEdges(ctx, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(batch[3].Edges, top) {
-		t.Errorf("top: batch %+v, single %+v", batch[3].Edges, top)
-	}
-}
-
 // TestGatewayBatchSurvivesKilledShard: every shard is a full replica,
 // so one dead shard must not change a single batch answer — the
 // class sub-batch fails over — and when every replica is dead, each

@@ -131,8 +131,8 @@ func TestChaosDifferentialSweep(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					got, err := c.Gateway.ClosestNode(ctx, target, tivaware.QueryOptions{SeverityPenalty: 2})
-					if err == nil && got != want {
+					res, err := queryOne(ctx, c.Gateway, tivaware.Query{Kind: tivaware.KindClosest, Target: target, SeverityPenalty: 2})
+					if got := res.Selections; err == nil && (len(got) != 1 || got[0] != want) {
 						t.Fatalf("step %d: ClosestNode(%d) = %+v under faults, monolith %+v", step, target, got, want)
 					}
 				}
@@ -338,14 +338,14 @@ func TestKillRestartConvergence(t *testing.T) {
 	go func() {
 		defer readWG.Done()
 		for q := 0; readCtx.Err() == nil; q++ {
-			if _, err := c.Gateway.ClosestNode(readCtx, q%n, tivaware.QueryOptions{SeverityPenalty: 2}); err != nil && readCtx.Err() == nil {
+			if _, err := queryOne(readCtx, c.Gateway, tivaware.Query{Kind: tivaware.KindClosest, Target: q % n, SeverityPenalty: 2}); err != nil && readCtx.Err() == nil {
 				select {
 				case readErrs <- fmt.Errorf("ClosestNode during chaos: %w", err):
 				default:
 				}
 				return
 			}
-			if _, err := c.Gateway.TopEdges(readCtx, 5); err != nil && readCtx.Err() == nil {
+			if _, err := queryOne(readCtx, c.Gateway, tivaware.Query{Kind: tivaware.KindTop, K: 5}); err != nil && readCtx.Err() == nil {
 				select {
 				case readErrs <- fmt.Errorf("TopEdges during chaos: %w", err):
 				default:

@@ -8,6 +8,7 @@ import (
 
 	"tivaware/internal/synth"
 	"tivaware/internal/tivaware"
+	"tivaware/internal/tivshard"
 	"tivaware/internal/tivshard/testcluster"
 	"tivaware/internal/tivwire"
 )
@@ -53,8 +54,28 @@ func diffCluster(t *testing.T, shards int, live bool) (*testcluster.Cluster, *ti
 	return c, mono
 }
 
-// assertAgreement runs the full query surface against both sides and
-// requires exact equality.
+// queryOne answers one query through the gateway's batch path; a
+// per-query failure comes back as the error.
+func queryOne(ctx context.Context, gw *tivshard.Gateway, q tivaware.Query) (tivaware.Result, error) {
+	res, err := gw.QueryBatch(ctx, []tivaware.Query{q})
+	if err != nil {
+		return tivaware.Result{}, err
+	}
+	return res[0], res[0].Err
+}
+
+// mustQuery is queryOne for queries that must succeed.
+func mustQuery(t *testing.T, gw *tivshard.Gateway, q tivaware.Query) tivaware.Result {
+	t.Helper()
+	res, err := queryOne(context.Background(), gw, q)
+	if err != nil {
+		t.Fatalf("gateway %s query %+v: %v", q.Kind, q, err)
+	}
+	return res
+}
+
+// assertAgreement runs every query kind through the gateway's batch
+// path and requires exact equality with the monolith's library calls.
 func assertAgreement(t *testing.T, mono *tivaware.Service, c *testcluster.Cluster) {
 	t.Helper()
 	ctx := context.Background()
@@ -67,16 +88,17 @@ func assertAgreement(t *testing.T, mono *tivaware.Service, c *testcluster.Cluste
 		{SeverityPenalty: 2.5},
 		{SeverityPenalty: 1, ExcludeViolated: true},
 	}
+	rankQuery := func(target, k int, opts tivaware.QueryOptions) tivaware.Query {
+		return tivaware.Query{Kind: tivaware.KindRank, Target: target, K: k, Candidates: opts.Candidates,
+			SeverityPenalty: opts.SeverityPenalty, ExcludeViolated: opts.ExcludeViolated}
+	}
 	for _, target := range targets {
 		for oi, opts := range optVariants {
 			want, err := mono.Rank(ctx, target, nil, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := gw.Rank(ctx, target, nil, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
+			got := mustQuery(t, gw, rankQuery(target, 0, opts)).Selections
 			if len(got) != len(want) {
 				t.Fatalf("Rank(%d, opts %d): gateway %d selections, monolith %d", target, oi, len(got), len(want))
 			}
@@ -94,16 +116,12 @@ func assertAgreement(t *testing.T, mono *tivaware.Service, c *testcluster.Cluste
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := gw.Rank(ctx, 0, cands, tivaware.QueryOptions{SeverityPenalty: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := mustQuery(t, gw, rankQuery(0, 0, tivaware.QueryOptions{Candidates: cands, SeverityPenalty: 2})).Selections
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("Rank with candidates: gateway %v, monolith %v", got, want)
 	}
-	gotEmpty, err := gw.Rank(ctx, 0, []int{}, tivaware.QueryOptions{})
-	if err != nil || len(gotEmpty) != 0 {
-		t.Fatalf("Rank with empty candidates = (%v, %v), want empty", gotEmpty, err)
+	if gotEmpty := mustQuery(t, gw, rankQuery(0, 0, tivaware.QueryOptions{Candidates: []int{}})).Selections; len(gotEmpty) != 0 {
+		t.Fatalf("Rank with empty candidates = %v, want empty", gotEmpty)
 	}
 
 	for _, k := range []int{1, 4, n + 10} {
@@ -111,10 +129,7 @@ func assertAgreement(t *testing.T, mono *tivaware.Service, c *testcluster.Cluste
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := gw.KClosest(ctx, 2, k, tivaware.QueryOptions{SeverityPenalty: 1.5})
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := mustQuery(t, gw, rankQuery(2, k, tivaware.QueryOptions{SeverityPenalty: 1.5})).Selections
 		if fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Fatalf("KClosest(k=%d): gateway %v, monolith %v", k, got, want)
 		}
@@ -125,11 +140,8 @@ func assertAgreement(t *testing.T, mono *tivaware.Service, c *testcluster.Cluste
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := gw.ClosestNode(ctx, target, tivaware.QueryOptions{SeverityPenalty: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
+		got := mustQuery(t, gw, tivaware.Query{Kind: tivaware.KindClosest, Target: target, SeverityPenalty: 2}).Selections
+		if len(got) != 1 || got[0] != want {
 			t.Fatalf("ClosestNode(%d): gateway %+v, monolith %+v", target, got, want)
 		}
 	}
@@ -149,20 +161,14 @@ func assertAgreement(t *testing.T, mono *tivaware.Service, c *testcluster.Cluste
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := gw.DetourPath(ctx, p[0], p[1])
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := mustQuery(t, gw, tivaware.Query{Kind: tivaware.KindDetour, I: p[0], J: p[1]}).Detour
 		if got != want {
 			t.Fatalf("DetourPath(%d,%d): gateway %+v, monolith %+v", p[0], p[1], got, want)
 		}
 	}
 
 	wantTop := mono.TopEdges(25)
-	gotTop, err := gw.TopEdges(ctx, 25)
-	if err != nil {
-		t.Fatal(err)
-	}
+	gotTop := mustQuery(t, gw, tivaware.Query{Kind: tivaware.KindTop, K: 25}).Edges
 	if len(gotTop) != len(wantTop) {
 		t.Fatalf("TopEdges: gateway %d edges, monolith %d", len(gotTop), len(wantTop))
 	}
@@ -176,42 +182,34 @@ func assertAgreement(t *testing.T, mono *tivaware.Service, c *testcluster.Cluste
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotAn, err := gw.Analysis(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	gotAn := mustQuery(t, gw, tivaware.Query{Kind: tivaware.KindAnalysis}).Analysis
 	if gotAn.ViolatingTriangles != wantAn.ViolatingTriangles || gotAn.Triangles != wantAn.Triangles {
 		t.Fatalf("Analysis: gateway %d/%d, monolith %d/%d",
 			gotAn.ViolatingTriangles, gotAn.Triangles, wantAn.ViolatingTriangles, wantAn.Triangles)
 	}
-	if gotAn.ViolatingTriangleFraction != wantAn.ViolatingTriangleFraction() {
+	if gotAn.ViolatingTriangleFraction() != wantAn.ViolatingTriangleFraction() {
 		t.Fatalf("Analysis fraction: gateway %g, monolith %g",
-			gotAn.ViolatingTriangleFraction, wantAn.ViolatingTriangleFraction())
+			gotAn.ViolatingTriangleFraction(), wantAn.ViolatingTriangleFraction())
 	}
 
 	// Error parity on a bad target and on hostile residue classes
 	// (a negative rem once panicked the gateway's single-class
 	// routing before it could validate).
-	if _, err := gw.Rank(ctx, n+5, nil, tivaware.QueryOptions{}); err == nil {
-		t.Error("gateway Rank with out-of-range target should error")
-	}
-	if _, err := gw.DetourPath(ctx, 4, 4); err == nil {
-		t.Error("gateway DetourPath on the diagonal should error")
-	}
-	if _, err := gw.Rank(ctx, 0, nil, tivaware.QueryOptions{Mod: 2, Rem: -1}); err == nil {
-		t.Error("gateway Rank with negative Rem should error, not panic")
-	}
-	if _, err := gw.Rank(ctx, 0, nil, tivaware.QueryOptions{Mod: -2, Rem: 0}); err == nil {
-		t.Error("gateway Rank with negative Mod should error")
-	}
-	if _, err := gw.DetourPathMod(ctx, 0, 1, 3, -2); err == nil {
-		t.Error("gateway DetourPathMod with negative rem should error, not panic")
-	}
-	if _, err := gw.TopEdgesMod(ctx, 5, 4, -1); err == nil {
-		t.Error("gateway TopEdgesMod with negative rem should error, not panic")
-	}
-	if _, err := gw.KClosest(ctx, 0, 3, tivaware.QueryOptions{Mod: 5, Rem: 9}); err == nil {
-		t.Error("gateway KClosest with Rem >= Mod should error")
+	for _, e := range []struct {
+		name string
+		q    tivaware.Query
+	}{
+		{"Rank with out-of-range target", tivaware.Query{Kind: tivaware.KindRank, Target: n + 5}},
+		{"DetourPath on the diagonal", tivaware.Query{Kind: tivaware.KindDetour, I: 4, J: 4}},
+		{"Rank with negative Rem", tivaware.Query{Kind: tivaware.KindRank, Scatter: tivaware.Scatter{Mod: 2, Rem: -1}}},
+		{"Rank with negative Mod", tivaware.Query{Kind: tivaware.KindRank, Scatter: tivaware.Scatter{Mod: -2}}},
+		{"detour with negative rem", tivaware.Query{Kind: tivaware.KindDetour, I: 0, J: 1, Scatter: tivaware.Scatter{Mod: 3, Rem: -2}}},
+		{"top with negative rem", tivaware.Query{Kind: tivaware.KindTop, K: 5, Scatter: tivaware.Scatter{Mod: 4, Rem: -1}}},
+		{"KClosest with Rem >= Mod", tivaware.Query{Kind: tivaware.KindRank, K: 3, Scatter: tivaware.Scatter{Mod: 5, Rem: 9}}},
+	} {
+		if _, err := queryOne(ctx, gw, e.q); err == nil {
+			t.Errorf("gateway %s should error", e.name)
+		}
 	}
 }
 

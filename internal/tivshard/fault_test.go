@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"tivaware/internal/delayspace"
 	"tivaware/internal/synth"
 	"tivaware/internal/tivaware"
 	"tivaware/internal/tivfault"
@@ -178,7 +179,8 @@ func TestGatewayTypedErrorWhenAllShardsFault(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
 	start := time.Now()
-	_, err := c.Gateway.Rank(ctx, 0, nil, tivaware.QueryOptions{})
+	rank := tivaware.Query{Kind: tivaware.KindRank}
+	_, err := queryOne(ctx, c.Gateway, rank)
 	if err == nil {
 		t.Fatal("Rank with every shard failing succeeded")
 	}
@@ -198,7 +200,7 @@ func TestGatewayTypedErrorWhenAllShardsFault(t *testing.T) {
 
 	inj.SetSpec(tivfault.Spec{})
 	waitStatus(t, c.Gateway, "ok", 10*time.Second)
-	if _, err := c.Gateway.Rank(ctx, 0, nil, tivaware.QueryOptions{}); err != nil {
+	if _, err := queryOne(ctx, c.Gateway, rank); err != nil {
 		t.Fatalf("Rank after recovery: %v", err)
 	}
 }
@@ -243,13 +245,16 @@ func TestGatewayHedgedReadsUnderLatency(t *testing.T) {
 	// Edge (0,3) is owned by shard 0 (the slow one): Delay routes to
 	// the owner and the hedge must beat the injected latency.
 	start := time.Now()
-	got, gotOK, err := c.Gateway.Delay(ctx, 0, 3)
+	res, err := queryOne(ctx, c.Gateway, tivaware.Query{Kind: tivaware.KindDelay, I: 0, J: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	elapsed := time.Since(start)
 	want, wantOK := mono.Delay(0, 3)
-	if got != want || gotOK != wantOK {
+	if !wantOK {
+		want = delayspace.Missing // the query layer's canonical "no estimate"
+	}
+	if got, gotOK := res.Delay, res.DelayOK; got != want || gotOK != wantOK {
 		t.Fatalf("Delay(0,3) = (%v,%v), monolith (%v,%v)", got, gotOK, want, wantOK)
 	}
 	if elapsed > 250*time.Millisecond {

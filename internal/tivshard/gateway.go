@@ -21,18 +21,20 @@
 //
 // # Merge semantics
 //
-// Rank/KClosest/ClosestNode scatter the query with one residue class
-// per shard (tivaware.QueryOptions.Mod/Rem) and k-way merge the
-// per-shard rankings by (Score, Node) — the exact comparator the
-// monolithic service sorts with, so the merged ranking is identical
-// to the monolithic one. DetourPath scans each shard's relay class
-// remotely and reduces to the smallest via delay (ties to the lowest
-// relay id), which reproduces the monolithic first-strict-minimum
-// scan exactly. TopEdges merges the per-shard owned-edge rankings by
-// (severity desc, edge asc). Analysis queries every shard and
-// requires the integer triangle totals to agree exactly — a built-in
-// replica-divergence detector. The differential suite in this package
-// pins gateway ≡ monolithic tivaware.Service over the same matrix.
+// The gateway answers reads only through QueryBatch (batch.go), with
+// one merge per query kind. Rank and closest scatter the query with
+// one residue class per shard (tivaware.Query.Scatter) and k-way merge
+// the per-shard rankings by (Score, Node) — the exact comparator the
+// monolithic service sorts with, so the merged ranking is identical to
+// the monolithic one. Detour scans each shard's relay class remotely
+// and reduces to the smallest via delay (ties to the lowest relay id),
+// which reproduces the monolithic first-strict-minimum scan exactly.
+// Top merges the per-shard owned-edge rankings by (severity desc, edge
+// asc). Delay is answered by the edge's owning shard. Analysis queries
+// every shard and requires the integer triangle totals to agree
+// exactly — a built-in replica-divergence detector. The differential
+// suite in this package pins gateway ≡ monolithic tivaware.Service over
+// the same matrix.
 //
 // # Updates and subscriptions
 //
@@ -58,8 +60,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"tivaware/internal/delayspace"
-	"tivaware/internal/tiv"
 	"tivaware/internal/tivaware"
 	"tivaware/internal/tivclient"
 	"tivaware/internal/tivwire"
@@ -252,7 +252,10 @@ func New(ctx context.Context, shardURLs []string, opts Options) (*Gateway, error
 		states:  make([]shardState, len(shardURLs)),
 	}
 	for i, u := range shardURLs {
-		copts := tivclient.Options{HTTPClient: opts.HTTPClient}
+		// Every read reaches a shard as a /v1/batch body, so the
+		// shard-ward HTTP codec is the compact binary framing: JSON
+		// would put reflection on every scattered query.
+		copts := tivclient.Options{HTTPClient: opts.HTTPClient, Binary: true}
 		if i < len(opts.FrameAddrs) && opts.FrameAddrs[i] != "" {
 			copts.FrameAddr = opts.FrameAddrs[i]
 			copts.FrameConns = opts.FrameConns
@@ -411,13 +414,6 @@ func mergeSorted[T any](lists [][]T, less func(a, b T) bool, limit int) []T {
 	return out
 }
 
-// withClass returns opts restricted to shard s's residue class.
-func (g *Gateway) withClass(opts tivaware.QueryOptions, s int) tivaware.QueryOptions {
-	opts.Scatter = tivaware.Scatter{Mod: g.k, Rem: s}
-	opts.Mod, opts.Rem = 0, 0
-	return opts
-}
-
 // classShard validates a caller-supplied residue class and picks the
 // replica that answers it. Validation must happen here, before the
 // class indexes a shard: a monolithic daemon rejects a bad residue
@@ -433,170 +429,6 @@ func (g *Gateway) classShard(mod, rem int) (int, error) {
 	return rem % g.k, nil
 }
 
-// Rank scores the candidates for the target, best first, by
-// scattering one residue class to each shard and k-way merging the
-// per-shard rankings; see tivaware.Service.Rank. A query already
-// carrying a residue restriction is routed to a single shard (every
-// shard holds the full replica, so any shard answers any class).
-func (g *Gateway) Rank(ctx context.Context, target int, candidates []int, opts tivaware.QueryOptions) ([]tivaware.Selection, error) {
-	if sc := opts.Residue(); sc.Mod != 0 {
-		s, err := g.classShard(sc.Mod, sc.Rem)
-		if err != nil {
-			return nil, err
-		}
-		return callClass(g, ctx, s, func(ctx context.Context, c *tivclient.Client) ([]tivaware.Selection, error) {
-			return c.Rank(ctx, target, candidates, opts)
-		})
-	}
-	lists := make([][]tivaware.Selection, g.k)
-	err := g.scatterClasses(ctx, func(ctx context.Context, class int) error {
-		part, err := callClass(g, ctx, class, func(ctx context.Context, c *tivclient.Client) ([]tivaware.Selection, error) {
-			return c.Rank(ctx, target, candidates, g.withClass(opts, class))
-		})
-		lists[class] = part
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return mergeSorted(lists, tivaware.SelectionLess, -1), nil
-}
-
-// KClosest returns the k best-ranked candidates for the target: each
-// shard returns the k best of its class, and the merge keeps the
-// global k best.
-func (g *Gateway) KClosest(ctx context.Context, target, k int, opts tivaware.QueryOptions) ([]tivaware.Selection, error) {
-	if k <= 0 {
-		return nil, fmt.Errorf("tivshard: KClosest k = %d, want > 0", k)
-	}
-	if sc := opts.Residue(); sc.Mod != 0 {
-		s, err := g.classShard(sc.Mod, sc.Rem)
-		if err != nil {
-			return nil, err
-		}
-		return callClass(g, ctx, s, func(ctx context.Context, c *tivclient.Client) ([]tivaware.Selection, error) {
-			return c.KClosest(ctx, target, k, opts)
-		})
-	}
-	lists := make([][]tivaware.Selection, g.k)
-	err := g.scatterClasses(ctx, func(ctx context.Context, class int) error {
-		part, err := callClass(g, ctx, class, func(ctx context.Context, c *tivclient.Client) ([]tivaware.Selection, error) {
-			return c.KClosest(ctx, target, k, g.withClass(opts, class))
-		})
-		lists[class] = part
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return mergeSorted(lists, tivaware.SelectionLess, k), nil
-}
-
-// ClosestNode returns the best-ranked candidate for the target. It
-// errors when no shard has an eligible candidate.
-func (g *Gateway) ClosestNode(ctx context.Context, target int, opts tivaware.QueryOptions) (tivaware.Selection, error) {
-	ranked, err := g.KClosest(ctx, target, 1, opts)
-	if err != nil {
-		return tivaware.Selection{}, err
-	}
-	if len(ranked) == 0 {
-		return tivaware.Selection{}, fmt.Errorf("tivshard: no eligible candidate for node %d", target)
-	}
-	return ranked[0], nil
-}
-
-// DetourPath finds the best one-hop detour for (i, j): each shard
-// scans its relay class, and the per-class bests reduce to the
-// smallest via delay, ties to the lowest relay id — exactly the
-// monolithic scan's first strict minimum.
-func (g *Gateway) DetourPath(ctx context.Context, i, j int) (tivaware.Detour, error) {
-	return g.DetourPathMod(ctx, i, j, 0, 0)
-}
-
-// DetourPathMod restricts the relay scan to the residue class
-// (mod, rem); mod 0 scans everything (scattered across the shards),
-// any other class is routed to a single replica.
-func (g *Gateway) DetourPathMod(ctx context.Context, i, j, mod, rem int) (tivaware.Detour, error) {
-	if mod != 0 {
-		s, err := g.classShard(mod, rem)
-		if err != nil {
-			return tivaware.Detour{}, err
-		}
-		return callClass(g, ctx, s, func(ctx context.Context, c *tivclient.Client) (tivaware.Detour, error) {
-			return c.DetourPathMod(ctx, i, j, mod, rem)
-		})
-	}
-	parts := make([]tivaware.Detour, g.k)
-	err := g.scatterClasses(ctx, func(ctx context.Context, class int) error {
-		d, err := callClass(g, ctx, class, func(ctx context.Context, c *tivclient.Client) (tivaware.Detour, error) {
-			return c.DetourPathMod(ctx, i, j, g.k, class)
-		})
-		parts[class] = d
-		return err
-	})
-	if err != nil {
-		return tivaware.Detour{}, err
-	}
-	best := tivaware.Detour{I: i, J: j, Via: -1, Direct: parts[0].Direct}
-	for _, d := range parts {
-		if d.Via < 0 {
-			continue
-		}
-		if best.Via < 0 || d.ViaDelay < best.ViaDelay ||
-			(d.ViaDelay == best.ViaDelay && d.Via < best.Via) {
-			best = d
-		}
-	}
-	return best, nil
-}
-
-// TopEdges returns the k globally worst edges by severity: each shard
-// ranks the edges it owns, and the disjoint per-shard rankings merge
-// into the exact global ranking.
-func (g *Gateway) TopEdges(ctx context.Context, k int) ([]delayspace.Edge, error) {
-	return g.TopEdgesMod(ctx, k, 0, 0)
-}
-
-// TopEdgesMod restricts the ranking to the residue class (mod, rem);
-// mod 0 covers every edge via the owned-class scatter.
-func (g *Gateway) TopEdgesMod(ctx context.Context, k, mod, rem int) ([]delayspace.Edge, error) {
-	if mod != 0 {
-		s, err := g.classShard(mod, rem)
-		if err != nil {
-			return nil, err
-		}
-		return callClass(g, ctx, s, func(ctx context.Context, c *tivclient.Client) ([]delayspace.Edge, error) {
-			return c.TopEdgesMod(ctx, k, mod, rem)
-		})
-	}
-	lists := make([][]delayspace.Edge, g.k)
-	err := g.scatterClasses(ctx, func(ctx context.Context, class int) error {
-		part, err := callClass(g, ctx, class, func(ctx context.Context, c *tivclient.Client) ([]delayspace.Edge, error) {
-			return c.TopEdgesMod(ctx, k, g.k, class)
-		})
-		lists[class] = part
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return mergeSorted(lists, tiv.EdgeLess, k), nil
-}
-
-// Delay returns the delay estimate for (i, j), answered by the edge's
-// owning shard when live, any other replica otherwise.
-func (g *Gateway) Delay(ctx context.Context, i, j int) (float64, bool, error) {
-	type delayResult struct {
-		d  float64
-		ok bool
-	}
-	r, err := callClass(g, ctx, g.edgeOwner(i, j), func(ctx context.Context, c *tivclient.Client) (delayResult, error) {
-		d, ok, err := c.Delay(ctx, i, j)
-		return delayResult{d, ok}, err
-	})
-	return r.d, r.ok, err
-}
-
 // Analysis returns the aggregate triangle statistics. Every live
 // shard is queried and the integer totals must agree exactly — a
 // disagreement means the replicas diverged (e.g. an update reached
@@ -605,8 +437,8 @@ func (g *Gateway) Delay(ctx context.Context, i, j int) (float64, bool, error) {
 // by construction, pending journal replay); a shard that fails
 // mid-sweep is skipped the same way, counted against its breaker. At
 // least one shard must answer.
-func (g *Gateway) Analysis(ctx context.Context) (tivwire.AnalysisResponse, error) {
-	parts := make([]tivwire.AnalysisResponse, g.k)
+func (g *Gateway) Analysis(ctx context.Context) (tivaware.AnalysisSummary, error) {
+	parts := make([]tivaware.AnalysisSummary, g.k)
 	answered := make([]bool, g.k)
 	terminal := make([]error, g.k)
 	var lastErr error
@@ -616,8 +448,9 @@ func (g *Gateway) Analysis(ctx context.Context) (tivwire.AnalysisResponse, error
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
-			a, err := tryOnce(g, ctx, s, func(ctx context.Context, c *tivclient.Client) (tivwire.AnalysisResponse, error) {
-				return c.Analysis(ctx)
+			a, err := tryOnce(g, ctx, s, func(ctx context.Context, c *tivclient.Client) (tivaware.AnalysisSummary, error) {
+				res, err := c.Query(ctx, tivaware.Query{Kind: tivaware.KindAnalysis})
+				return res.Analysis, err
 			})
 			mu.Lock()
 			defer mu.Unlock()
@@ -634,7 +467,7 @@ func (g *Gateway) Analysis(ctx context.Context) (tivwire.AnalysisResponse, error
 	wg.Wait()
 	for _, err := range terminal {
 		if err != nil {
-			return tivwire.AnalysisResponse{}, err
+			return tivaware.AnalysisSummary{}, err
 		}
 	}
 	first := -1
@@ -648,18 +481,16 @@ func (g *Gateway) Analysis(ctx context.Context) (tivwire.AnalysisResponse, error
 		}
 		if parts[s].ViolatingTriangles != parts[first].ViolatingTriangles ||
 			parts[s].Triangles != parts[first].Triangles || parts[s].N != parts[first].N {
-			return tivwire.AnalysisResponse{}, errDiverged(fmt.Sprintf(
+			return tivaware.AnalysisSummary{}, errDiverged(fmt.Sprintf(
 				"replicas diverged: shard %d reports %d/%d violating triangles over %d nodes, shard %d %d/%d over %d",
 				s, parts[s].ViolatingTriangles, parts[s].Triangles, parts[s].N,
 				first, parts[first].ViolatingTriangles, parts[first].Triangles, parts[first].N), nil)
 		}
 	}
 	if first < 0 {
-		return tivwire.AnalysisResponse{}, errUnavailable("no shard could answer the analysis sweep", lastErr)
+		return tivaware.AnalysisSummary{}, errUnavailable("no shard could answer the analysis sweep", lastErr)
 	}
-	out := parts[first]
-	out.Epoch = g.gen.Load()
-	return out, nil
+	return parts[first], nil
 }
 
 // ApplyUpdate streams one edge measurement into the cluster; see

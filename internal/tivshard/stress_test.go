@@ -136,8 +136,10 @@ func TestConcurrentUpdatesFanInAccounting(t *testing.T) {
 	go func() {
 		defer readWG.Done()
 		for q := 0; readCtx.Err() == nil; q++ {
-			_, _ = c.Gateway.ClosestNode(readCtx, q%n, tivaware.QueryOptions{SeverityPenalty: 2})
-			_, _ = c.Gateway.TopEdges(readCtx, 5)
+			_, _ = c.Gateway.QueryBatch(readCtx, []tivaware.Query{
+				{Kind: tivaware.KindClosest, Target: q % n, SeverityPenalty: 2},
+				{Kind: tivaware.KindTop, K: 5},
+			})
 		}
 	}()
 	wg.Wait()
