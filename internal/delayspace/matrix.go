@@ -21,6 +21,14 @@ import (
 // analyses must skip them rather than treat them as zero delay.
 const Missing = -1
 
+// ValidDelay reports whether d may be stored as a delay: a finite,
+// non-negative measurement, or Missing. NaN and ±Inf are rejected; an
+// infinite delay would turn severities into +Inf, which no comparator
+// or wire codec can carry.
+func ValidDelay(d float64) bool {
+	return d == Missing || (d >= 0 && !math.IsInf(d, 1))
+}
+
 // Matrix is a symmetric N×N round-trip delay matrix in milliseconds.
 // The diagonal is zero. Entries equal to Missing denote pairs with no
 // measurement. The zero value is an empty (0-node) matrix.
@@ -99,10 +107,7 @@ func FromRows(rows [][]float64) (*Matrix, error) {
 }
 
 func symmetrize(a, b float64) (float64, error) {
-	bad := func(x float64) bool {
-		return math.IsNaN(x) || (x < 0 && x != Missing)
-	}
-	if bad(a) || bad(b) {
+	if !ValidDelay(a) || !ValidDelay(b) {
 		return 0, fmt.Errorf("invalid delay pair (%g,%g)", a, b)
 	}
 	switch {
@@ -127,14 +132,14 @@ func (m *Matrix) At(i, j int) float64 { return m.data[i*m.n+j] }
 // Has reports whether the pair (i, j) has a measurement.
 func (m *Matrix) Has(i, j int) bool { return m.data[i*m.n+j] != Missing }
 
-// Set stores a symmetric delay for the pair (i, j). It panics on
-// negative delays (other than Missing), NaN, or i == j, because a
-// corrupted matrix invalidates every downstream analysis.
+// Set stores a symmetric delay for the pair (i, j). It panics on a
+// delay ValidDelay rejects or on i == j, because a corrupted matrix
+// invalidates every downstream analysis.
 func (m *Matrix) Set(i, j int, d float64) {
 	if i == j {
 		panic("delayspace: Set on diagonal")
 	}
-	if math.IsNaN(d) || (d < 0 && d != Missing) {
+	if !ValidDelay(d) {
 		panic(fmt.Sprintf("delayspace: invalid delay %g", d))
 	}
 	m.set(i, j, d)
@@ -286,8 +291,8 @@ func (m *Matrix) MaxDelay() float64 {
 }
 
 // Validate checks structural invariants: square storage, symmetric
-// entries, zero diagonal, no negative or NaN delays, and consistent
-// measured-bitsets. Generators and loaders call it before returning a
+// entries, zero diagonal, only delays ValidDelay accepts, and
+// consistent measured-bitsets. Generators and loaders call it before returning a
 // matrix to callers.
 func (m *Matrix) Validate() error {
 	if len(m.data) != m.n*m.n {
@@ -302,7 +307,7 @@ func (m *Matrix) Validate() error {
 			if a != b {
 				return fmt.Errorf("delayspace: asymmetry at (%d,%d): %g vs %g", i, j, a, b)
 			}
-			if math.IsNaN(a) || (a < 0 && a != Missing) {
+			if !ValidDelay(a) {
 				return fmt.Errorf("delayspace: invalid delay %g at (%d,%d)", a, i, j)
 			}
 		}

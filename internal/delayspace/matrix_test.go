@@ -53,6 +53,7 @@ func TestSetPanics(t *testing.T) {
 		"diagonal": func() { m.Set(1, 1, 5) },
 		"negative": func() { m.Set(0, 1, -3) },
 		"nan":      func() { m.Set(0, 1, math.NaN()) },
+		"+inf":     func() { m.Set(0, 1, math.Inf(1)) },
 	} {
 		func() {
 			defer func() {
@@ -104,6 +105,7 @@ func TestFromRowsErrors(t *testing.T) {
 		"diagonal": {{5, 1}, {1, 0}},
 		"negative": {{0, -2}, {-2, 0}},
 		"nan":      {{0, math.NaN()}, {1, 0}},
+		"+inf":     {{0, math.Inf(1)}, {Missing, 0}},
 	}
 	for name, rows := range cases {
 		if _, err := FromRows(rows); err == nil {

@@ -185,6 +185,8 @@ func TestMonitorRejectsInvalidUpdates(t *testing.T) {
 		{"negative i", -1, 2, 5},
 		{"out of range j", 0, 8, 5},
 		{"NaN", 0, 1, math.NaN()},
+		{"+Inf", 0, 1, math.Inf(1)},
+		{"-Inf", 0, 1, math.Inf(-1)},
 		{"negative delay", 0, 1, -7},
 	} {
 		if _, err := mon.ApplyUpdate(tc.i, tc.j, tc.rtt); err == nil {

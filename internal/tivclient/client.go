@@ -24,7 +24,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"net"
 	"net/http"
 	"net/url"
@@ -70,11 +69,6 @@ type Options struct {
 	// without a context deadline (a caller-supplied deadline always
 	// wins). Zero means 30s; negative disables the backstop.
 	RequestTimeout time.Duration
-	// HandshakeTimeout bounds a Subscribe call's attach phase: the
-	// request plus the first stream byte. Zero means 10s; negative
-	// disables. Once attached, the stream is bounded only by its
-	// context.
-	HandshakeTimeout time.Duration
 	// Binary selects the compact binary wire framing
 	// (tivwire.BinaryContentType) for request and response bodies,
 	// negotiated per request via Accept/Content-Type. JSON is the
@@ -115,12 +109,11 @@ var defaultHTTPClient = &http.Client{Transport: defaultTransport}
 
 // Client talks to one tivd daemon.
 type Client struct {
-	base      string
-	hc        *http.Client
-	reqTO     time.Duration
-	handshake time.Duration
-	binary    bool
-	frames    *tivframe.Pool // nil unless Options.FrameAddr was set
+	base   string
+	hc     *http.Client
+	reqTO  time.Duration
+	binary bool
+	frames *tivframe.Pool // nil unless Options.FrameAddr was set
 }
 
 var _ tivaware.Querier = (*Client)(nil)
@@ -136,12 +129,7 @@ func New(baseURL string, opts Options) *Client {
 	if reqTO == 0 {
 		reqTO = 30 * time.Second
 	}
-	handshake := opts.HandshakeTimeout
-	if handshake == 0 {
-		handshake = 10 * time.Second
-	}
-	c := &Client{base: strings.TrimRight(baseURL, "/"), hc: hc, reqTO: reqTO,
-		handshake: handshake, binary: opts.Binary}
+	c := &Client{base: strings.TrimRight(baseURL, "/"), hc: hc, reqTO: reqTO, binary: opts.Binary}
 	if opts.FrameAddr != "" {
 		c.frames = tivframe.NewPool(opts.FrameAddr, opts.FrameConns, tivframe.ClientOptions{})
 	}
@@ -156,15 +144,6 @@ func (c *Client) Close() error {
 		c.frames.Close()
 	}
 	return nil
-}
-
-// FrameAddr returns the framed-transport address the client dials, or
-// "" when it speaks HTTP only.
-func (c *Client) FrameAddr() string {
-	if c.frames == nil {
-		return ""
-	}
-	return c.frames.Addr()
 }
 
 // callCtx applies the RequestTimeout backstop: calls arriving without
@@ -547,10 +526,15 @@ type SubscribeOptions struct {
 	OnHello func(tivwire.Hello)
 }
 
+// handshakeTimeout bounds a subscription's attach phase: the request
+// plus the first stream byte. Once attached, the stream is bounded
+// only by its context.
+const handshakeTimeout = 10 * time.Second
+
 // SubscribeOpts is Subscribe with the full option set; see Subscribe
 // for the reconnect semantics. The attach phase (request plus first
-// stream byte) is additionally bounded by Options.HandshakeTimeout,
-// so a hung daemon fails the call instead of wedging it.
+// stream byte) is additionally bounded by handshakeTimeout, so a hung
+// daemon fails the call instead of wedging it.
 func (c *Client) SubscribeOpts(ctx context.Context, opts SubscribeOptions, fn func(tivwire.ChangeSet)) error {
 	if fn == nil {
 		return &Error{Code: tivwire.CodeBadRequest, Message: "nil subscriber"}
@@ -562,23 +546,21 @@ func (c *Client) SubscribeOpts(ctx context.Context, opts SubscribeOptions, fn fu
 	defer cancel()
 	attached := make(chan struct{})
 	timedOut := make(chan struct{})
-	if c.handshake > 0 {
-		t := time.AfterFunc(c.handshake, func() { close(timedOut); cancel() })
-		defer t.Stop()
-		go func() {
-			select {
-			case <-attached:
-				t.Stop()
-			case <-sctx.Done():
-			}
-		}()
-	}
+	t := time.AfterFunc(handshakeTimeout, func() { close(timedOut); cancel() })
+	defer t.Stop()
+	go func() {
+		select {
+		case <-attached:
+			t.Stop()
+		case <-sctx.Done():
+		}
+	}()
 
 	handshakeErr := func(err error) error {
 		select {
 		case <-timedOut:
 			return &Error{Op: "subscribe", Code: CodeTransport,
-				Message: fmt.Sprintf("handshake timed out after %v", c.handshake), cause: err}
+				Message: fmt.Sprintf("handshake timed out after %v", handshakeTimeout), cause: err}
 		default:
 		}
 		if ctx.Err() != nil {
@@ -676,125 +658,4 @@ func (r *readyReader) Read(p []byte) (int, error) {
 		}
 	}
 	return n, err
-}
-
-// AutoSubscribeOptions configures AutoSubscribe.
-type AutoSubscribeOptions struct {
-	// ReconnectDelay is the base backoff between attach attempts,
-	// growing exponentially (jittered) to MaxDelay on consecutive
-	// failures and resetting after a successful attach. Zero means
-	// 250ms.
-	ReconnectDelay time.Duration
-	// MaxDelay caps the backoff; zero means 5s.
-	MaxDelay time.Duration
-	// Ready, if non-nil, is closed after the first successful
-	// handshake.
-	Ready chan<- struct{}
-}
-
-// AutoSubscribe is Subscribe with automatic reconnection: it holds a
-// subscription open across stream tears, daemon restarts, and
-// overflow disconnects until ctx is cancelled (returning nil) or a
-// terminal failure surfaces (a non-live daemon, a bad request).
-//
-// Gap handling: deltas streamed while detached are gone (the daemon
-// keeps no replay buffer), so on every reconnect AutoSubscribe
-// compares the new stream's hello version against the last change-set
-// version it delivered. Equality proves the violated-edge picture
-// survived the gap intact; anything else — including a hello-less
-// older daemon — makes fn receive a synthetic ChangeSet{Rescan: true}
-// marker first, telling the consumer to rebuild its picture (a top query)
-// before trusting subsequent deltas. The first attach never emits a
-// marker.
-func (c *Client) AutoSubscribe(ctx context.Context, opts AutoSubscribeOptions, fn func(tivwire.ChangeSet)) error {
-	if fn == nil {
-		return &Error{Code: tivwire.CodeBadRequest, Message: "nil subscriber"}
-	}
-	base := opts.ReconnectDelay
-	if base <= 0 {
-		base = 250 * time.Millisecond
-	}
-	maxDelay := opts.MaxDelay
-	if maxDelay <= 0 {
-		maxDelay = 5 * time.Second
-	}
-	var (
-		lastVer  uint64
-		everUp   bool // at least one attach succeeded
-		ready    = opts.Ready
-		failures int
-	)
-	for {
-		var (
-			sawHello bool
-			helloVer uint64
-			attach   = make(chan struct{})
-		)
-		err := c.SubscribeOpts(ctx, SubscribeOptions{
-			Ready: attach,
-			OnHello: func(h tivwire.Hello) {
-				sawHello, helloVer = true, h.Version
-			},
-		}, func(cs tivwire.ChangeSet) {
-			lastVer = cs.Version
-			fn(cs)
-		})
-		select {
-		case <-attach:
-			// Attached: reset the backoff, signal first readiness, and
-			// bridge any reconnect gap. The hello event precedes every
-			// change set, so sawHello is settled by the time the first
-			// delta lands; a reconnect whose hello version matches the
-			// last delivered version provably missed nothing.
-			failures = 0
-			if ready != nil {
-				close(ready)
-				ready = nil
-			}
-			if everUp && (!sawHello || helloVer != lastVer) {
-				ver := helloVer
-				if !sawHello {
-					ver = lastVer
-				}
-				lastVer = ver
-				fn(tivwire.ChangeSet{Version: ver, Rescan: true})
-			}
-			everUp = true
-		default:
-		}
-		if ctx.Err() != nil {
-			return nil
-		}
-		if err == nil {
-			// Subscribe returns nil only on context cancellation.
-			return nil
-		}
-		if !errors.Is(err, ErrSubscribeOverflow) && !errors.Is(err, ErrSubscribeClosed) && !IsRetryable(err) {
-			return err
-		}
-		failures++
-		t := time.NewTimer(backoff(base, maxDelay, failures))
-		select {
-		case <-ctx.Done():
-			t.Stop()
-			return nil
-		case <-t.C:
-		}
-	}
-}
-
-// backoff returns the jittered exponential backoff for the given
-// consecutive-failure count: base·2^(n-1), capped at max, with ±25%
-// jitter so a fleet of reconnecting subscribers does not stampede.
-func backoff(base, max time.Duration, failures int) time.Duration {
-	d := base
-	for i := 1; i < failures && d < max; i++ {
-		d *= 2
-	}
-	if d > max {
-		d = max
-	}
-	// ±25% jitter.
-	j := time.Duration(rand.Int63n(int64(d)/2+1)) - d/4
-	return d + j
 }

@@ -10,13 +10,12 @@ import (
 	"tivaware/internal/tivwire"
 )
 
-// The unified query path. Every read endpoint — the single-shot GETs
-// and POST /v1/batch — funnels through resolveWire, so the epoch-keyed
-// cache, the request coalescing, and the error taxonomy behave
-// identically no matter how a query arrives. A single-shot GET is
-// served as a batch of one against the same machinery, which is what
-// makes the cache coherent across paths: both produce the same
-// canonical key for the same effective query.
+// The unified query path. Every read — the single-shot GETs, POST
+// /v1/batch and framed batches — funnels through resolveBatch, so the
+// epoch-keyed cache and the error taxonomy behave identically no
+// matter how a query arrives. A single-shot GET is served as a batch
+// of one, which is what makes the cache coherent across paths: every
+// path produces the same canonical key for the same effective query.
 
 // maxBodyBytes caps request bodies (update and batch): large enough
 // for the biggest sane batch, small enough to bound a hostile post.
@@ -67,61 +66,16 @@ func (s *Server) normalizeQuery(q *tivaware.Query) error {
 	return nil
 }
 
-// computeWire answers one query through the backend's batch path and
-// renders it to its wire shape. The whole-call error is a backend
-// failure (no epoch pinned); per-query failures land in Result.Err as
-// taxonomy envelopes.
-func (s *Server) computeWire(ctx context.Context, q tivaware.Query) (*tivwire.Result, uint64, error) {
-	res, epoch, err := s.b.QueryBatch(ctx, []tivaware.Query{q})
-	if err != nil {
-		return nil, 0, err
-	}
-	if len(res) != 1 {
-		return nil, 0, internalErrorf("backend answered %d results for 1 query", len(res))
-	}
-	wr := tivwire.FromResult(q, res[0], epoch, func(err error) tivwire.Error {
-		_, e := resultEnvelope(q.Kind, err)
-		return e
-	})
-	return &wr, epoch, nil
-}
-
-// resolveWire answers one query, consulting the epoch-keyed cache for
-// cacheable kinds. The double version read brackets the computation:
-// the key embeds the versions observed before, and the entry is
-// stored only if the versions still hold after — so a stored entry
-// can never describe a state its key predates. Failed results are
-// never cached (they may be transient).
-func (s *Server) resolveWire(ctx context.Context, q tivaware.Query) (*tivwire.Result, uint64, error) {
-	if s.cache == nil || !cacheableKind(q.Kind) {
-		return s.computeWire(ctx, q)
-	}
-	qv, av := s.b.CacheVersion()
-	key := canonicalKey(q, qv, av)
-	return s.cache.do(ctx, key, func() (*tivwire.Result, uint64, bool, error) {
-		wr, epoch, err := s.computeWire(ctx, q)
-		if err != nil {
-			return nil, 0, false, err
-		}
-		qv2, av2 := s.b.CacheVersion()
-		return wr, epoch, wr.Err == nil && qv2 == qv && av2 == av, nil
-	})
-}
-
-// serveQuery is the single-shot tail shared by the GET endpoints:
-// normalize, resolve through the cache, unwrap the one payload the
-// kind produces.
+// serveQuery is the single-shot tail shared by the GET endpoints: a
+// batch of one through resolveBatch, answered with the one payload
+// (or error envelope) the kind produces.
 func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, q tivaware.Query) {
-	if err := s.normalizeQuery(&q); err != nil {
-		serviceError(w, r, err)
-		return
-	}
-	wr, _, err := s.resolveWire(r.Context(), q)
+	resp, err := s.resolveBatch(r.Context(), []tivaware.Query{q})
 	if err != nil {
 		serviceError(w, r, err)
 		return
 	}
-	writeWireResult(w, r, wr)
+	writeWireResult(w, r, &resp.Results[0])
 }
 
 // writeWireResult writes the payload (or error envelope) a resolved
@@ -148,11 +102,10 @@ func writeWireResult(w http.ResponseWriter, r *http.Request, wr *tivwire.Result)
 // handleBatch answers POST /v1/batch: a vector of heterogeneous typed
 // queries in one round trip. Cache hits are served from the resident
 // entries; all misses go to the backend as ONE QueryBatch call (the
-// request-coalescing win a gateway turns into one scatter per shard
-// per batch). Per-query failures — unknown kinds, out-of-range
-// parameters, analysis divergence — land in the aligned Results
-// vector; only a malformed request or a whole-backend failure fails
-// the call.
+// batching win a gateway turns into one scatter per shard per batch).
+// Per-query failures — unknown kinds, out-of-range parameters,
+// analysis divergence — land in the aligned Results vector; only a
+// malformed request or a whole-backend failure fails the call.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if !requireMethod(w, r, http.MethodPost) {
 		return
@@ -162,7 +115,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, http.StatusBadRequest, tivwire.CodeBadRequest, "decoding body: %v", err)
 		return
 	}
-	resp, err := s.resolveBatch(r.Context(), &req)
+	resp, err := s.resolveBatch(r.Context(), tivwire.ToQueries(req.Queries))
 	if err != nil {
 		serviceError(w, r, err)
 		return
@@ -170,21 +123,20 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	writeMsg(w, r, http.StatusOK, *resp)
 }
 
-// resolveBatch answers one decoded batch request — the transport-free
-// core shared by POST /v1/batch and the framed listener, so the
-// cache, coalescing, and taxonomy behavior cannot drift between
-// transports. A returned error is a whole-call failure already typed
-// for errorEnvelope (reqError or a backend error); per-query failures
-// land in the aligned Results vector.
-func (s *Server) resolveBatch(ctx context.Context, req *tivwire.BatchRequest) (*tivwire.BatchResponse, error) {
-	if len(req.Queries) == 0 {
+// resolveBatch answers a vector of queries — the one read core, shared
+// by the GET endpoints, POST /v1/batch and the framed listener, so the
+// cache and taxonomy behavior cannot drift between paths. A returned
+// error is a whole-call failure already typed for errorEnvelope
+// (reqError or a backend error); per-query failures land in the
+// aligned Results vector.
+func (s *Server) resolveBatch(ctx context.Context, queries []tivaware.Query) (*tivwire.BatchResponse, error) {
+	if len(queries) == 0 {
 		return nil, badRequestf("empty batch")
 	}
-	if max := s.opts.maxBatch(); len(req.Queries) > max {
-		return nil, badRequestf("batch of %d queries exceeds limit %d", len(req.Queries), max)
+	if max := s.opts.maxBatch(); len(queries) > max {
+		return nil, badRequestf("batch of %d queries exceeds limit %d", len(queries), max)
 	}
 
-	queries := tivwire.ToQueries(req.Queries)
 	results := make([]tivwire.Result, len(queries))
 
 	// Normalize every query first (the cache key must see effective

@@ -9,12 +9,12 @@ import (
 )
 
 // The framed transport's request surface. A framed daemon answers the
-// same three mutating-free message families the HTTP endpoints do —
-// batched queries, update batches, and health pings — through the
+// same three request-response message families the HTTP endpoints do
+// — batched queries, update batches, and health pings — through the
 // exact same cores (resolveBatch, applyWire, healthWire), so the
-// epoch-keyed cache, the request coalescing, and the failure taxonomy
-// cannot drift between transports. SSE subscriptions stay on HTTP:
-// a one-response-per-request envelope is the wrong shape for an
+// epoch-keyed cache and the failure taxonomy cannot drift between
+// transports. SSE subscriptions stay on HTTP: a
+// one-response-per-request envelope is the wrong shape for an
 // unbounded server-push stream.
 
 // FrameHandler adapts the daemon to tivframe: callers run it with
@@ -31,7 +31,7 @@ type frameHandler struct{ s *Server }
 func (h frameHandler) ServeFrame(ctx context.Context, msg any) any {
 	switch m := msg.(type) {
 	case *tivwire.BatchRequest:
-		resp, err := h.s.resolveBatch(ctx, m)
+		resp, err := h.s.resolveBatch(ctx, tivwire.ToQueries(m.Queries))
 		if err != nil {
 			return frameError(err)
 		}

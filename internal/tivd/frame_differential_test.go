@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -292,15 +293,24 @@ func TestFramedUpdatesAgree(t *testing.T) {
 			t.Fatalf("batch %d change sets diverged:\n got %#v\nwant %#v", bi, got, want)
 		}
 	}
-	// Out-of-range updates fail with the same taxonomy code.
-	_, wantErr := httpC.ApplyBatch(ctx, []tivwire.Update{{I: -1, J: 2, RTT: 5}})
-	_, gotErr := frameC.ApplyBatch(ctx, []tivwire.Update{{I: -1, J: 2, RTT: 5}})
-	if wantErr == nil || gotErr == nil {
-		t.Fatalf("out-of-range update: http err %v, framed err %v", wantErr, gotErr)
+	// Invalid updates fail with the same envelope on both transports,
+	// 400 bad_request over HTTP, and change nothing. An rtt of +Inf
+	// can only travel in the binary codec; applied, it would surface
+	// as a severity no codec can encode.
+	for _, bad := range []tivwire.Update{{I: -1, J: 2, RTT: 5}, {I: 0, J: 1, RTT: math.Inf(1)}} {
+		_, wantErr := httpC.ApplyBatch(ctx, []tivwire.Update{bad})
+		_, gotErr := frameC.ApplyBatch(ctx, []tivwire.Update{bad})
+		var wantE, gotE *tivclient.Error
+		if !errors.As(wantErr, &wantE) || !errors.As(gotErr, &gotE) || wantE.Status != http.StatusBadRequest ||
+			wantE.Code != tivwire.CodeBadRequest || gotE.Code != wantE.Code || gotE.Message != wantE.Message {
+			t.Fatalf("update %+v: http err %v, framed err %v; want one 400 %s envelope", bad, wantErr, gotErr,
+				tivwire.CodeBadRequest)
+		}
 	}
-	var wantE, gotE *tivclient.Error
-	if !errors.As(wantErr, &wantE) || !errors.As(gotErr, &gotE) || wantE.Code != gotE.Code {
-		t.Fatalf("update error codes diverged: http %v, framed %v", wantErr, gotErr)
+	for _, c := range []*tivclient.Client{httpC, frameC} {
+		if res, err := c.Query(ctx, tivaware.Query{Kind: tivaware.KindDelay, I: 0, J: 1}); err != nil || res.Delay != 500 {
+			t.Fatalf("delay(0,1) after rejected updates = %+v, %v; want 500", res, err)
+		}
 	}
 
 	analysis := tivaware.Query{Kind: tivaware.KindAnalysis}
@@ -314,5 +324,54 @@ func TestFramedUpdatesAgree(t *testing.T) {
 	}
 	if !reflect.DeepEqual(gotA, wantA) {
 		t.Fatalf("post-apply analysis diverged:\n got %#v\nwant %#v", gotA, wantA)
+	}
+}
+
+// TestReadPathsShareCacheEntry pins the cross-path cache key: one
+// effective query asked as a single-shot GET (no k, unsorted
+// candidates), as an HTTP batch (k at the cap, sorted candidates) and
+// as a framed batch resolves to one cache entry — one miss, then two
+// hits — and all three answer identically.
+func TestReadPathsShareCacheEntry(t *testing.T) {
+	svc := diffService(t, false)
+	url, frameAddr := startFramedDaemon(t, svc)
+	httpC := tivclient.New(url, tivclient.Options{})
+	frameC := tivclient.New(url, tivclient.Options{FrameAddr: frameAddr})
+	t.Cleanup(func() { frameC.Close() })
+	ctx := context.Background()
+
+	h0, err := httpC.Healthz(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Client.Query issues GET /v1/rank?target=3&candidates=9,4,7.
+	get, err := httpC.Query(ctx, tivaware.Query{Kind: tivaware.KindRank, Target: 3, Candidates: []int{9, 4, 7}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := []tivaware.Query{{Kind: tivaware.KindRank, Target: 3, K: 4096, Candidates: []int{4, 7, 9}}}
+	viaHTTP, err := httpC.QueryBatch(ctx, batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	viaFrame, err := frameC.QueryBatch(ctx, batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h1, err := httpC.Healthz(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, via := range []struct {
+		name string
+		res  tivaware.Result
+	}{{"HTTP batch", viaHTTP[0]}, {"framed batch", viaFrame[0]}} {
+		if !reflect.DeepEqual(via.res, get) {
+			t.Errorf("%s diverged from GET:\n batch %+v\n get   %+v", via.name, via.res, get)
+		}
+	}
+	if hits, misses := h1.Cache.Hits-h0.Cache.Hits, h1.Cache.Misses-h0.Cache.Misses; hits != 2 || misses != 1 {
+		t.Errorf("cache delta = %d hits, %d misses; want 2 hits, 1 miss", hits, misses)
 	}
 }

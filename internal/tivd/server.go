@@ -31,8 +31,7 @@
 // request-body codec. SSE streams stay JSON (they are line-oriented
 // by design). /v1/batch answers all its queries against one pinned
 // epoch, and read queries flow through an epoch-keyed hot-query cache
-// with request coalescing (see cache.go); both are transparent at the
-// protocol level.
+// (see cache.go); both are transparent at the protocol level.
 //
 // Queries run lock-free against the service's current epoch, so the
 // daemon serves concurrent requests at full GOMAXPROCS without a
@@ -539,10 +538,6 @@ func (s *Server) healthWire(ctx context.Context) (tivwire.Health, error) {
 
 func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	if !requireMethod(w, r, http.MethodPost) {
-		return
-	}
-	if !s.b.Live() {
-		serviceError(w, r, errNotLive())
 		return
 	}
 	var req tivwire.UpdateRequest

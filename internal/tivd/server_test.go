@@ -296,18 +296,42 @@ func TestDaemonValidationErrors(t *testing.T) {
 			t.Errorf("%s should error", c.name)
 		}
 	}
-	// An explicit k=0 is out of range on the GET endpoint.
-	resp, err := http.Get(client.BaseURL() + "/v1/rank?target=0&k=0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("GET /v1/rank?k=0 = %d, want 400", resp.StatusCode)
+	// The GET endpoints answer out-of-range parameters with the exact
+	// status, taxonomy code and message, whichever layer rejects them
+	// (parameter parsing, normalization, or the query itself).
+	for _, c := range []struct {
+		path, msg string
+	}{
+		{"/v1/rank?target=0&k=0", "parameter k: 0 outside [1,8]"},
+		{"/v1/rank?target=0&k=9", "parameter k: 9 outside [1,8]"},
+		{"/v1/top?k=0", "parameter k: 0 outside [1,8]"},
+		{"/v1/top?k=9", "parameter k: 9 outside [1,8]"},
+		{"/v1/top", "parameter k: 10 outside [1,8]"}, // the default k exceeds this cap
+		{"/v1/rank?target=0&mod=-2&rem=0", "tivaware: negative residue modulus -2"},
+		{"/v1/rank?target=0&mod=2&rem=2", "tivaware: residue 2 outside [0,2)"},
+		{"/v1/top?k=3&mod=-2&rem=0", "tivaware: negative residue modulus -2"},
+		{"/v1/top?k=3&mod=2&rem=2", "tivaware: residue 2 outside [0,2)"},
+		{"/v1/rank?target=99", "tivaware: target 99 out of range [0,4)"},
+		{"/v1/closest?target=-1", "tivaware: target -1 out of range [0,4)"},
+		{"/v1/detour?i=0&j=1&mod=2&rem=5", "tivaware: residue 5 outside [0,2)"},
+		{"/v1/delay?i=0&j=99", "tivaware: node 99 out of range [0,4)"},
+	} {
+		resp, err := http.Get(client.BaseURL() + c.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var env tivwire.Error
+		derr := json.NewDecoder(resp.Body).Decode(&env)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || derr != nil ||
+			env.Code != tivwire.CodeBadRequest || env.Error != c.msg {
+			t.Errorf("GET %s = %d %+v (%v), want 400 %s %q", c.path, resp.StatusCode, env, derr,
+				tivwire.CodeBadRequest, c.msg)
+		}
 	}
 
 	// Wrong methods are rejected with Allow headers.
-	resp, err = http.Get(client.BaseURL() + "/v1/update")
+	resp, err := http.Get(client.BaseURL() + "/v1/update")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,11 +18,6 @@ import (
 type ClientOptions struct {
 	// DialTimeout bounds one dial; zero means 5s.
 	DialTimeout time.Duration
-	// WriteTimeout bounds one request write; zero means 30s.
-	WriteTimeout time.Duration
-	// MaxFrameBytes caps one response frame; zero means
-	// DefaultMaxFrameBytes.
-	MaxFrameBytes int
 }
 
 func (o ClientOptions) dialTimeout() time.Duration {
@@ -30,20 +25,6 @@ func (o ClientOptions) dialTimeout() time.Duration {
 		return o.DialTimeout
 	}
 	return 5 * time.Second
-}
-
-func (o ClientOptions) writeTimeout() time.Duration {
-	if o.WriteTimeout > 0 {
-		return o.WriteTimeout
-	}
-	return 30 * time.Second
-}
-
-func (o ClientOptions) maxFrameBytes() int {
-	if o.MaxFrameBytes > 0 {
-		return o.MaxFrameBytes
-	}
-	return DefaultMaxFrameBytes
 }
 
 // ErrConnClosed reports a call against (or interrupted by) a closed
@@ -231,7 +212,7 @@ func (c *Conn) Call(ctx context.Context, req, resp any) error {
 		return encErr // caller bug (unregistered type); conn is fine
 	}
 	c.wbuf = b
-	_ = c.c.SetWriteDeadline(time.Now().Add(c.opts.writeTimeout()))
+	_ = c.c.SetWriteDeadline(time.Now().Add(writeTimeout))
 	_, werr := c.c.Write(b)
 	c.wmu.Unlock()
 	if werr != nil {
@@ -273,7 +254,7 @@ func (c *Conn) readLoop() {
 	buf := getBuf()
 	defer func() { putBuf(buf) }()
 	for {
-		id, frame, out, err := readEnvelope(c.br, buf, c.opts.maxFrameBytes())
+		id, frame, out, err := readEnvelope(c.br, buf, MaxFrameBytes)
 		buf = out
 		if err != nil {
 			if errors.Is(err, net.ErrClosed) {
@@ -331,9 +312,6 @@ func NewPool(addr string, size int, opts ClientOptions) *Pool {
 	}
 	return &Pool{addr: addr, opts: opts, conns: make([]*Conn, size)}
 }
-
-// Addr returns the pool's dial address.
-func (p *Pool) Addr() string { return p.addr }
 
 // Do performs one call on a pooled connection, dialing or redialing
 // the slot if necessary.

@@ -30,6 +30,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"time"
 
 	"tivaware/internal/tivwire"
 )
@@ -41,10 +42,12 @@ const (
 	// u32 payload length) so the reader can bound a body before
 	// consuming it.
 	tbHeaderLen = 8
-	// DefaultMaxFrameBytes caps one TB frame (header+payload) read off
-	// a connection, matching tivd's HTTP body cap: large enough for
-	// the biggest sane batch, small enough to bound a hostile peer.
-	DefaultMaxFrameBytes = 16 << 20
+	// MaxFrameBytes caps one TB frame (header+payload) read off a
+	// connection, matching tivd's HTTP body cap: large enough for the
+	// biggest sane batch, small enough to bound a hostile peer.
+	MaxFrameBytes = 16 << 20
+	// writeTimeout bounds one frame write, request or response.
+	writeTimeout = 30 * time.Second
 )
 
 // ErrFrameTooLarge reports a TB frame whose declared payload exceeds

@@ -95,11 +95,6 @@ type Options struct {
 	// ProbeTimeout bounds each health probe and each replayed batch;
 	// zero means 2s.
 	ProbeTimeout time.Duration
-	// JournalLimit bounds the update journal (batches kept for
-	// replaying to down shards); older entries are evicted, and a down
-	// shard needing an evicted entry becomes stale (see Status). Zero
-	// means 8192.
-	JournalLimit int
 	// FrameAddrs, when non-empty, dials each shard's framed transport
 	// (tivd -frame-listen) for queries, updates, and health probes —
 	// persistent multiplexed raw connections instead of per-request
@@ -143,13 +138,6 @@ func (o Options) probeTimeout() time.Duration {
 		return o.ProbeTimeout
 	}
 	return 2 * time.Second
-}
-
-func (o Options) journalLimit() int {
-	if o.JournalLimit > 0 {
-		return o.JournalLimit
-	}
-	return 8192
 }
 
 // Gateway scatter-gathers TIV queries over K shard daemons. It

@@ -254,8 +254,7 @@ func (g *Gateway) upShards(preferred int) []int {
 // live, "degraded" while any shard is down (queries still answer
 // exactly from the remaining replicas), "stale" when a down shard can
 // no longer be caught up by journal replay (operator action needed:
-// restart it from a fresh replica and the prober will readmit it, or
-// widen Options.JournalLimit).
+// restart it from a fresh replica and the prober will readmit it).
 func (g *Gateway) Status() string {
 	g.journalMu.Lock()
 	defer g.journalMu.Unlock()
@@ -588,15 +587,19 @@ func (g *Gateway) recover(ctx context.Context, s int) {
 	}
 }
 
+// journalLimit bounds the update journal (batches kept for replaying
+// to down shards).
+const journalLimit = 8192
+
 // appendJournal records one batch and returns its absolute index,
-// evicting the oldest entries beyond the journal bound (any down
-// shard whose cursor falls off the evicted end becomes stale —
-// detected by recover). Callers hold journalMu.
+// evicting the oldest entries beyond journalLimit (any down shard
+// whose cursor falls off the evicted end becomes stale — detected by
+// recover). Callers hold journalMu.
 func (g *Gateway) appendJournalLocked(updates []tivwire.Update) int64 {
 	idx := g.journalBase + int64(len(g.journal))
 	g.journal = append(g.journal, journalEntry{updates: updates})
-	if limit := g.opts.journalLimit(); limit > 0 && len(g.journal) > limit {
-		evict := len(g.journal) - limit
+	if len(g.journal) > journalLimit {
+		evict := len(g.journal) - journalLimit
 		g.journal = append([]journalEntry(nil), g.journal[evict:]...)
 		g.journalBase += int64(evict)
 	}
