@@ -214,6 +214,56 @@ func BenchmarkServiceClosestNodeParallel(b *testing.B) {
 	})
 }
 
+// BenchmarkServiceTopEdges measures one warm top query through the
+// batch path, over every edge ("all") and over one residue class of
+// Mod 3 ("mod3", the per-shard sub-query of a 3-shard gateway). The
+// selection scans the class's edges in place, so B/op stays O(k).
+func BenchmarkServiceTopEdges(b *testing.B) {
+	svc, _ := benchService(b, 400, tivaware.Options{})
+	ctx := context.Background()
+	for _, c := range []struct {
+		name string
+		sc   tivaware.Scatter
+	}{{"all", tivaware.Scatter{}}, {"mod3", tivaware.Scatter{Mod: 3, Rem: 1}}} {
+		b.Run(c.name, func(b *testing.B) {
+			q := []tivaware.Query{{Kind: tivaware.KindTop, K: 16, Scatter: c.sc}}
+			if _, err := svc.QueryBatch(ctx, q); err != nil { // warm the epoch
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := svc.QueryBatch(ctx, q)
+				if err != nil || res[0].Err != nil || len(res[0].Edges) != 16 {
+					b.Fatalf("top: %v %+v", err, res)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkServiceRankK measures one warm severity-penalized rank cut
+// to K=8 over all candidates through the batch path: the bounded
+// selection keeps 8, where a full ranking would sort all N−1.
+func BenchmarkServiceRankK(b *testing.B) {
+	svc, sp := benchService(b, 400, tivaware.Options{})
+	ctx := context.Background()
+	n := sp.Matrix.N()
+	q := []tivaware.Query{{Kind: tivaware.KindRank, K: 8, SeverityPenalty: 2}}
+	if _, err := svc.QueryBatch(ctx, q); err != nil { // warm the epoch
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		q[0].Target = i % n
+		res, err := svc.QueryBatch(ctx, q)
+		if err != nil || res[0].Err != nil || len(res[0].Selections) != 8 {
+			b.Fatalf("rank: %v %+v", err, res)
+		}
+	}
+}
+
 // BenchmarkDetourPath measures one best-one-hop-detour query: an O(N)
 // scan over the delay source.
 func BenchmarkDetourPath(b *testing.B) {

@@ -23,12 +23,15 @@
 package tiv
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
 	"math/rand"
 	"runtime"
+	"slices"
 
 	"tivaware/internal/delayspace"
+	"tivaware/internal/topk"
 )
 
 // Severity computes the TIV severity of the single edge (i, j) exactly
@@ -173,34 +176,45 @@ func (e *EdgeSeverities) TopEdges(k int) []delayspace.Edge {
 // edge (TopEdges). The residue classes of a fixed modulus partition
 // the edge set, which is what lets a sharded gateway reassemble the
 // exact global ranking from per-class ones.
+//
+// The class's rows are scanned in place into a heap of at most k
+// edges (O(E log k) time, O(k) space); no edge list is built.
 func (e *EdgeSeverities) TopEdgesMod(k, mod, rem int) []delayspace.Edge {
-	numEdges := e.n * (e.n - 1) / 2
-	if k <= 0 || numEdges == 0 || mod < 0 || (mod > 0 && (rem < 0 || rem >= mod)) {
+	if k <= 0 || mod < 0 || (mod > 0 && (rem < 0 || rem >= mod)) {
 		return nil
 	}
-	capEdges := numEdges
+	first, step := 0, 1
 	if mod > 1 {
-		capEdges = 0
-		for i := rem; i < e.n; i += mod {
-			capEdges += e.n - 1 - i
-		}
+		first, step = rem, mod
 	}
-	edges := make([]delayspace.Edge, 0, capEdges)
-	for i := 0; i < e.n; i++ {
-		if mod > 1 && i%mod != rem {
-			continue
-		}
-		for j := i + 1; j < e.n; j++ {
-			edges = append(edges, delayspace.Edge{I: i, J: j, Delay: e.At(i, j)})
-		}
+	classEdges := 0
+	for i := first; i < e.n; i += step {
+		classEdges += e.n - 1 - i
 	}
-	if k > len(edges) {
-		k = len(edges)
+	if k > classEdges {
+		k = classEdges
 	}
 	if k == 0 {
 		return nil
 	}
-	return selectTopEdges(edges, k)
+	h := topk.New(k, compareEdges)
+	// Once the heap is full an edge must beat its worst kept edge.
+	// The scan runs in ascending (I, J) order, so an edge that only
+	// ties the worst's severity loses EdgeLess's tie-break: rejecting
+	// it on sev <= floor alone is exact.
+	full, floor := false, 0.0
+	for i := first; i < e.n; i += step {
+		for o, sev := range e.data[i*e.n+i+1 : (i+1)*e.n] {
+			if full && sev <= floor {
+				continue
+			}
+			h.Push(delayspace.Edge{I: i, J: i + 1 + o, Delay: sev})
+			if full = h.Full(); full {
+				floor = h.Worst().Delay
+			}
+		}
+	}
+	return h.Sorted()
 }
 
 // EdgeLess is the total order all edge rankings use — here, in the
@@ -208,18 +222,23 @@ func (e *EdgeSeverities) TopEdgesMod(k, mod, rem int) []delayspace.Edge {
 // else edge rankings must agree byte-for-byte: higher severity
 // (carried in Delay) first, ties broken by (I, J) so results are
 // stable across runs regardless of sort or selection internals.
-func EdgeLess(a, b delayspace.Edge) bool {
-	if a.Delay != b.Delay {
-		return a.Delay > b.Delay
+func EdgeLess(a, b delayspace.Edge) bool { return compareEdges(a, b) < 0 }
+
+// compareEdges is EdgeLess in the slices.SortFunc convention.
+func compareEdges(a, b delayspace.Edge) int {
+	switch {
+	case a.Delay > b.Delay:
+		return -1
+	case a.Delay < b.Delay:
+		return 1
+	case a.I != b.I:
+		return cmp.Compare(a.I, b.I)
 	}
-	if a.I != b.I {
-		return a.I < b.I
-	}
-	return a.J < b.J
+	return cmp.Compare(a.J, b.J)
 }
 
 func sortEdgesBySeverityDesc(edges []delayspace.Edge) {
-	sortSlice(edges, EdgeLess)
+	slices.SortFunc(edges, compareEdges)
 }
 
 // selectTopEdges partially selects the k first edges under EdgeLess

@@ -3,6 +3,8 @@ package tiv
 import (
 	"math"
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -180,6 +182,52 @@ func TestWorstEdgesOrdering(t *testing.T) {
 	for k := 1; k < len(worst); k++ {
 		if worst[k].Delay > worst[k-1].Delay {
 			t.Fatal("WorstEdges not sorted descending")
+		}
+	}
+}
+
+// TestTopEdgesModMatchesFullSort pins the bounded selection behind
+// TopEdgesMod against the definition it replaces: every edge of the
+// class, fully sorted by EdgeLess, cut to k. Severities drawn from
+// {0, 0.5, 1} make most comparisons ties, so the (I, J) tie-break and
+// the heap's reject-on-tie fast path decide nearly every position.
+func TestTopEdgesModMatchesFullSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	for _, n := range []int{2, 9, 20} {
+		sev := &EdgeSeverities{n: n, data: make([]float64, n*n)}
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				v := []float64{0, 0.5, 1}[rng.Intn(3)]
+				sev.data[i*n+j], sev.data[j*n+i] = v, v
+			}
+		}
+		for _, mod := range []int{0, 1, 2, 3, 7} {
+			rems := []int{0, 3} // mod 0 ignores the residue
+			if mod > 0 {
+				rems = rems[:0]
+				for rem := 0; rem < mod; rem++ {
+					rems = append(rems, rem)
+				}
+			}
+			for _, rem := range rems {
+				var class []delayspace.Edge
+				for i := 0; i < n; i++ {
+					for j := i + 1; j < n; j++ {
+						if mod <= 1 || i%mod == rem {
+							class = append(class, delayspace.Edge{I: i, J: j, Delay: sev.At(i, j)})
+						}
+					}
+				}
+				sort.Slice(class, func(a, b int) bool { return EdgeLess(class[a], class[b]) })
+				e := len(class)
+				for _, k := range []int{1, 2, 16, e - 1, e, e + 5} {
+					want := class[:min(max(k, 0), e)]
+					got := sev.TopEdgesMod(k, mod, rem)
+					if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
+						t.Fatalf("n=%d mod=%d rem=%d k=%d:\n got %v\nwant %v", n, mod, rem, k, got, want)
+					}
+				}
+			}
 		}
 	}
 }

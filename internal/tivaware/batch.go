@@ -159,16 +159,12 @@ func (v *View) resolveQuery(ctx context.Context, q Query) Result {
 	res := Result{Kind: q.Kind}
 	switch q.Kind {
 	case KindRank:
-		sel, err := rankEpoch(ctx, v.e, q.Target, q.Candidates, q.options())
+		sel, truncated, err := rankEpoch(ctx, v.e, q.Target, q.Candidates, q.options(), q.K)
 		if err != nil {
 			res.Err = err
 			break
 		}
-		if q.K > 0 && len(sel) > q.K {
-			sel = sel[:q.K]
-			res.Truncated = true
-		}
-		res.Selections = sel
+		res.Selections, res.Truncated = sel, truncated
 	case KindClosest:
 		sel, err := closestNodeEpoch(ctx, v.e, q.Target, q.options())
 		if err != nil {

@@ -1,12 +1,14 @@
 package tivaware
 
 import (
+	"cmp"
 	"context"
+	"errors"
 	"fmt"
 	"math"
-	"sort"
 
 	"tivaware/internal/delayspace"
+	"tivaware/internal/topk"
 )
 
 // Querier is the TIV-aware query surface: QueryBatch answers a vector
@@ -66,7 +68,8 @@ type QueryOptions struct {
 	// is the paper's §2.1 metric for the target-candidate edge, so a
 	// positive penalty demotes candidates whose edge is involved in
 	// many/bad violations — the edges coordinate systems mispredict
-	// worst. Zero ranks by delay alone.
+	// worst. Zero ranks by delay alone. A NaN or infinite penalty is
+	// rejected with ErrNonFinitePenalty.
 	SeverityPenalty float64
 	// ExcludeViolated drops candidates whose edge to the target
 	// currently violates the triangle inequality (Selection.Violated),
@@ -114,19 +117,27 @@ func (s *Service) Rank(ctx context.Context, target int, candidates []int, opts Q
 	if err != nil {
 		return nil, err
 	}
-	return rankEpoch(ctx, e, target, candidates, opts)
+	ranked, _, err := rankEpoch(ctx, e, target, candidates, opts, 0)
+	return ranked, err
 }
 
-func rankEpoch(ctx context.Context, e *epoch, target int, candidates []int, opts QueryOptions) ([]Selection, error) {
+// rankEpoch scores the target's eligible candidates and returns them
+// best first. limit > 0 keeps only the limit best, selected through a
+// bounded heap without ranking the rest, and truncated reports that
+// more than limit candidates qualified; limit ≤ 0 ranks them all.
+func rankEpoch(ctx context.Context, e *epoch, target int, candidates []int, opts QueryOptions, limit int) (ranked []Selection, truncated bool, err error) {
 	if err := checkCtx(ctx); err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	if err := e.checkNode("target", target); err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	sc := opts.Scatter
 	if err := sc.check(); err != nil {
-		return nil, err
+		return nil, false, err
+	}
+	if p := opts.SeverityPenalty; math.IsNaN(p) || math.IsInf(p, 0) {
+		return nil, false, fmt.Errorf("%w: %g", ErrNonFinitePenalty, p)
 	}
 	if candidates == nil {
 		candidates = opts.Candidates
@@ -135,39 +146,37 @@ func rankEpoch(ctx context.Context, e *epoch, target int, candidates []int, opts
 	for k, c := range candidates {
 		if k&ctxPollMask == 0 {
 			if err := checkCtx(ctx); err != nil {
-				return nil, err
+				return nil, false, err
 			}
 		}
 		if err := e.checkNode("candidate", c); err != nil {
-			return nil, err
+			return nil, false, err
 		}
 		if seen[c] {
-			return nil, fmt.Errorf("tivaware: duplicate candidate %d", c)
+			return nil, false, fmt.Errorf("tivaware: duplicate candidate %d", c)
 		}
 		seen[c] = true
 	}
-	n := e.q.N()
-	if candidates == nil {
-		all := make([]int, 0, n-1)
-		for c := 0; c < n; c++ {
-			if c&ctxPollMask == 0 {
-				if err := checkCtx(ctx); err != nil {
-					return nil, err
-				}
-			}
-			if c != target {
-				all = append(all, c)
-			}
-		}
-		candidates = all
+	// nil candidates means every node: c runs over 0..n-1 directly.
+	pool := e.q.N()
+	if candidates != nil {
+		pool = len(candidates)
 	}
-
-	out := make([]Selection, 0, len(candidates))
-	for k, c := range candidates {
+	keep := limit
+	if keep <= 0 || keep > pool {
+		keep = pool
+	}
+	h := topk.New(keep, compareSelections)
+	qualified := 0
+	for k := 0; k < pool; k++ {
 		if k&ctxPollMask == 0 {
 			if err := checkCtx(ctx); err != nil {
-				return nil, err
+				return nil, false, err
 			}
+		}
+		c := k
+		if candidates != nil {
+			c = candidates[k]
 		}
 		if c == target || !sc.admits(c) {
 			continue
@@ -187,21 +196,32 @@ func rankEpoch(ctx context.Context, e *epoch, target int, candidates []int, opts
 			continue
 		}
 		sel.Score = d * (1 + opts.SeverityPenalty*sel.Severity)
-		out = append(out, sel)
+		qualified++
+		h.Push(sel)
 	}
-	sort.Slice(out, func(a, b int) bool { return SelectionLess(out[a], out[b]) })
-	return out, nil
+	return h.Sorted(), limit > 0 && qualified > limit, nil
 }
+
+// ErrNonFinitePenalty marks a NaN or infinite SeverityPenalty: it
+// would score candidates NaN, which has no place in SelectionLess's
+// total order.
+var ErrNonFinitePenalty = errors.New("tivaware: severity penalty is not finite")
 
 // SelectionLess is the total order every ranking sorts with: lower
 // score first, ties broken by node id. It is exported because the
 // sharded gateway's k-way merge (internal/tivshard) must use the
 // byte-identical comparator to reassemble the monolithic order.
-func SelectionLess(a, b Selection) bool {
-	if a.Score != b.Score {
-		return a.Score < b.Score
+func SelectionLess(a, b Selection) bool { return compareSelections(a, b) < 0 }
+
+// compareSelections is SelectionLess in the slices.SortFunc convention.
+func compareSelections(a, b Selection) int {
+	switch {
+	case a.Score < b.Score:
+		return -1
+	case a.Score > b.Score:
+		return 1
 	}
-	return a.Node < b.Node
+	return cmp.Compare(a.Node, b.Node)
 }
 
 // KClosest returns the k best-ranked candidates for the target (all
@@ -221,14 +241,8 @@ func kClosestEpoch(ctx context.Context, e *epoch, target, k int, opts QueryOptio
 	if k <= 0 {
 		return nil, fmt.Errorf("tivaware: KClosest k = %d, want > 0", k)
 	}
-	ranked, err := rankEpoch(ctx, e, target, opts.Candidates, opts)
-	if err != nil {
-		return nil, err
-	}
-	if len(ranked) > k {
-		ranked = ranked[:k]
-	}
-	return ranked, nil
+	ranked, _, err := rankEpoch(ctx, e, target, opts.Candidates, opts, k)
+	return ranked, err
 }
 
 // ClosestNode returns the best-ranked candidate for the target. It

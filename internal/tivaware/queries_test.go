@@ -2,7 +2,11 @@ package tivaware
 
 import (
 	"context"
+	"errors"
 	"math"
+	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 
 	"tivaware/internal/delayspace"
@@ -254,6 +258,102 @@ func TestKClosestAndErrors(t *testing.T) {
 	svc2 := newService(t, holey)
 	if _, err := svc2.ClosestNode(ctx, 2, QueryOptions{}); err == nil {
 		t.Error("isolated target should error")
+	}
+}
+
+// TestNonFinitePenaltyRejected: a NaN or infinite penalty would score
+// candidates NaN, outside SelectionLess's total order, so rank and
+// closest reject it with ErrNonFinitePenalty on every entry point.
+func TestNonFinitePenaltyRejected(t *testing.T) {
+	ctx := context.Background()
+	svc := newService(t, tivMatrix())
+	for _, p := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		opts := QueryOptions{SeverityPenalty: p}
+		for _, q := range []Query{
+			{Kind: KindRank, Target: 0, SeverityPenalty: p},
+			{Kind: KindRank, Target: 0, K: 2, SeverityPenalty: p},
+			{Kind: KindClosest, Target: 0, SeverityPenalty: p},
+		} {
+			if res := queryOne(ctx, svc, q); !errors.Is(res.Err, ErrNonFinitePenalty) || res.Selections != nil {
+				t.Errorf("%s K=%d penalty %g = %+v, want ErrNonFinitePenalty", q.Kind, q.K, p, res)
+			}
+		}
+		if _, err := svc.Rank(ctx, 0, nil, opts); !errors.Is(err, ErrNonFinitePenalty) {
+			t.Errorf("Rank penalty %g: err %v", p, err)
+		}
+		if _, err := svc.ClosestNode(ctx, 0, opts); !errors.Is(err, ErrNonFinitePenalty) {
+			t.Errorf("ClosestNode penalty %g: err %v", p, err)
+		}
+	}
+}
+
+// TestBoundedRankMatchesSortThenTruncate pins the bounded selection
+// behind rank with K, KClosest and ClosestNode against the definition
+// it replaces: the whole ranking, sorted by SelectionLess, cut to K,
+// with Truncated set exactly when more than K candidates qualified.
+// Delays drawn from three values make many scores tie, so the node-id
+// tie-break decides the cut.
+func TestBoundedRankMatchesSortThenTruncate(t *testing.T) {
+	ctx := context.Background()
+	const n = 30
+	rng := rand.New(rand.NewSource(5))
+	m := delayspace.New(n)
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			if rng.Intn(10) > 0 { // leave ~10% unmeasured
+				m.Set(i, j, []float64{10, 20, 35}[rng.Intn(3)])
+			}
+		}
+	}
+	svc := newService(t, m)
+	explicit := rng.Perm(n)[:12]
+	for _, opts := range []QueryOptions{
+		{},
+		{SeverityPenalty: 2},
+		{SeverityPenalty: 1, ExcludeViolated: true},
+		{Scatter: Scatter{Mod: 3, Rem: 1}},
+		{Candidates: explicit, SeverityPenalty: 0.5},
+		{Candidates: explicit, Scatter: Scatter{Mod: 2, Rem: 0}},
+	} {
+		for _, target := range []int{0, 7, n - 1} {
+			full, err := svc.Rank(ctx, target, opts.Candidates, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := append([]Selection(nil), full...)
+			rng.Shuffle(len(want), func(a, b int) { want[a], want[b] = want[b], want[a] })
+			sort.Slice(want, func(a, b int) bool { return SelectionLess(want[a], want[b]) })
+			if !reflect.DeepEqual(full, want) {
+				t.Fatalf("target %d %+v: Rank is not the sorted ranking", target, opts)
+			}
+			for _, k := range []int{1, 2, 3, 5, len(want) - 1, len(want), len(want) + 3} {
+				if k <= 0 {
+					continue
+				}
+				q := Query{Kind: KindRank, Target: target, K: k, Candidates: opts.Candidates,
+					SeverityPenalty: opts.SeverityPenalty, ExcludeViolated: opts.ExcludeViolated, Scatter: opts.Scatter}
+				res := queryOne(ctx, svc, q)
+				cut := want[:min(k, len(want))]
+				if res.Err != nil || !reflect.DeepEqual(res.Selections, cut) || res.Truncated != (len(want) > k) {
+					t.Fatalf("target %d K=%d %+v: got %v truncated=%v (%v), want %v truncated=%v",
+						target, k, opts, res.Selections, res.Truncated, res.Err, cut, len(want) > k)
+				}
+				kc, err := svc.KClosest(ctx, target, k, opts)
+				if err != nil || !reflect.DeepEqual(kc, cut) {
+					t.Fatalf("target %d KClosest(%d) %+v = %v (%v), want %v", target, k, opts, kc, err, cut)
+				}
+			}
+			best, err := svc.ClosestNode(ctx, target, opts)
+			if len(want) == 0 {
+				if err == nil {
+					t.Fatalf("target %d %+v: closest %+v with no eligible candidate", target, opts, best)
+				}
+				continue
+			}
+			if err != nil || best != want[0] {
+				t.Fatalf("target %d %+v: closest %+v (%v), want %+v", target, opts, best, err, want[0])
+			}
+		}
 	}
 }
 

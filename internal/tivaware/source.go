@@ -114,15 +114,15 @@ func FromPredictor(p Predictor, n int) *PredictorSource {
 // N implements DelaySource.
 func (s *PredictorSource) N() int { return s.n }
 
-// Delay implements DelaySource. Negative or NaN predictions report
-// ok == false (inner-product predictors can produce them; they carry
-// no meaning for selection).
+// Delay implements DelaySource. Negative, NaN or infinite predictions
+// report ok == false (inner-product predictors can produce them; they
+// carry no meaning for selection, and no delay matrix can store them).
 func (s *PredictorSource) Delay(i, j int) (float64, bool) {
 	if i == j {
 		return 0, true
 	}
 	d := s.p.Predict(i, j)
-	if math.IsNaN(d) || d < 0 {
+	if d < 0 || math.IsNaN(d) || math.IsInf(d, 1) {
 		return 0, false
 	}
 	return d, true

@@ -1,7 +1,9 @@
 package tivaware
 
 import (
+	"context"
 	"math"
+	"reflect"
 	"testing"
 
 	"tivaware/internal/delayspace"
@@ -56,6 +58,8 @@ func TestPredictorSource(t *testing.T) {
 			return -1 // unusable prediction
 		case i == 3 || j == 3:
 			return math.NaN()
+		case i+j == 4:
+			return math.Inf(1)
 		default:
 			return float64(10 * (i + j))
 		}
@@ -74,6 +78,9 @@ func TestPredictorSource(t *testing.T) {
 	}
 	if _, ok := src.Delay(0, 3); ok {
 		t.Error("NaN prediction reported ok")
+	}
+	if _, ok := src.Delay(0, 4); ok {
+		t.Error("+Inf prediction reported ok")
 	}
 	v := src.Version()
 	src.Invalidate()
@@ -101,6 +108,45 @@ func TestMonitorSourceTracksMatrix(t *testing.T) {
 	}
 	if d, ok := src.Delay(0, 1); !ok || d != 99 {
 		t.Errorf("post-update Delay(0,1) = %g, %v", d, ok)
+	}
+}
+
+// TestPredictorInfIsMissing serves a predictor that predicts +Inf for
+// one pair: the service answers every query, with that pair treated as
+// unmeasured, instead of panicking while it materializes the epoch.
+func TestPredictorInfIsMissing(t *testing.T) {
+	src := FromPredictor(fnPredictor(func(i, j int) float64 {
+		if i+j == 1 {
+			return math.Inf(1) // the pair (0, 1)
+		}
+		return float64(10 * (i + j))
+	}), 4)
+	svc, err := New(src, Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := svc.QueryBatch(context.Background(), []Query{
+		{Kind: KindDelay, I: 0, J: 1},
+		{Kind: KindRank, Target: 0},
+		{Kind: KindTop, K: 10},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range res {
+		if r.Err != nil {
+			t.Fatalf("%s: %v", r.Kind, r.Err)
+		}
+	}
+	if res[0].DelayOK || res[0].Delay != delayspace.Missing {
+		t.Errorf("delay(0,1) = %g, %v; want missing", res[0].Delay, res[0].DelayOK)
+	}
+	var ranked []int
+	for _, sel := range res[1].Selections {
+		ranked = append(ranked, sel.Node)
+	}
+	if want := []int{2, 3}; !reflect.DeepEqual(ranked, want) {
+		t.Errorf("rank(0) nodes = %v, want %v (node 1 unmeasured)", ranked, want)
 	}
 }
 

@@ -3,7 +3,9 @@ package tivd_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"net"
@@ -324,6 +326,49 @@ func TestFramedUpdatesAgree(t *testing.T) {
 	}
 	if !reflect.DeepEqual(gotA, wantA) {
 		t.Fatalf("post-apply analysis diverged:\n got %#v\nwant %#v", gotA, wantA)
+	}
+}
+
+// TestNonFinitePenaltyEnvelope: a NaN or infinite severity penalty
+// is rejected with one 400 bad_request envelope — the same code and
+// message — over GET, POST /v1/batch (binary: JSON cannot carry the
+// value) and frames, for rank and closest alike.
+func TestNonFinitePenaltyEnvelope(t *testing.T) {
+	url, frameAddr := startFramedDaemon(t, diffService(t, false))
+	httpC := tivclient.New(url, tivclient.Options{Binary: true})
+	frameC := tivclient.New(url, tivclient.Options{FrameAddr: frameAddr})
+	t.Cleanup(func() { frameC.Close() })
+	ctx := context.Background()
+
+	for _, p := range []struct {
+		param string
+		v     float64
+	}{{"nan", math.NaN()}, {"inf", math.Inf(1)}, {"-inf", math.Inf(-1)}} {
+		for _, kind := range []tivaware.QueryKind{tivaware.KindRank, tivaware.KindClosest} {
+			path := "/v1/" + string(kind) + "?target=3&penalty=" + p.param
+			resp, err := http.Get(url + path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var env tivwire.Error
+			derr := json.NewDecoder(resp.Body).Decode(&env)
+			resp.Body.Close()
+			msg := fmt.Sprintf("%v: %g", tivaware.ErrNonFinitePenalty, p.v)
+			if resp.StatusCode != http.StatusBadRequest || derr != nil || env.Code != tivwire.CodeBadRequest || env.Error != msg {
+				t.Fatalf("GET %s = %d %+v (%v), want 400 %s %q", path, resp.StatusCode, env, derr, tivwire.CodeBadRequest, msg)
+			}
+			q := tivaware.Query{Kind: kind, Target: 3, SeverityPenalty: p.v}
+			for name, c := range map[string]*tivclient.Client{"batch": httpC, "frames": frameC} {
+				res, err := c.QueryBatch(ctx, []tivaware.Query{q})
+				if err != nil {
+					t.Fatal(err)
+				}
+				var e *tivclient.Error
+				if !errors.As(res[0].Err, &e) || e.Code != env.Code || e.Message != env.Error {
+					t.Errorf("%s %s penalty %s: err %v, want the GET envelope %+v", name, kind, p.param, res[0].Err, env)
+				}
+			}
+		}
 	}
 }
 

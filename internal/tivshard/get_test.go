@@ -59,6 +59,9 @@ func TestGatewayGETMatchesMonolithGET(t *testing.T) {
 		"/v1/detour?i=4&j=4",
 		"/v1/closest?target=0&candidates=0",
 		"/v1/rank?target=0&k=0",
+		"/v1/rank?target=0&penalty=inf",
+		"/v1/rank?target=5&k=3&penalty=-inf",
+		"/v1/closest?target=7&penalty=nan",
 	}
 	for _, k := range []int{1, 3} {
 		k := k
